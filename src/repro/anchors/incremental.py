@@ -15,16 +15,31 @@ Locality rests on two facts:
 * anchors live in no tree node (see ``CoreComponentTree.build``), so an
   anchoring never forces tree surgery outside the rebuilt subtree.
 
+After the splice, only the derived rows of ``changed ∪ N(changed)``
+are refreshed — ``changed`` being ``x``, the re-peeled vertices whose
+shell-layer pair or node id moved, and the boundary anchors whose
+effective coreness moved — because a vertex's rows depend only on its
+own coreness and its neighbors' anchor flag, node id and coreness.
+
 `apply_anchor` mutates the state. Its correctness oracle — structural
 equality with a fresh ``AnchoredState.build`` — runs in the test suite
-over random anchor sequences.
+over random anchor sequences. Under tracing, the ``incremental.*``
+spans split a round's update into the re-peel and splice, the
+adjacency refresh, the kernel-table refresh and the cache invalidation.
 """
 
 from __future__ import annotations
 
+from repro import obs as _obs
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import CoreDecomposition, peel_decomposition
-from repro.core.tree import CoreComponentTree, NodeId, TreeAdjacency, _sort_key
+from repro.core.tree import (
+    CoreComponentTree,
+    NodeId,
+    TreeAdjacency,
+    TreeNode,
+    _sort_key,
+)
 from repro.graphs.graph import Vertex
 
 
@@ -47,19 +62,61 @@ def apply_anchor(
         raise ValueError(f"{x!r} is already anchored")
     graph = state.graph
     tree = state.tree
-    old_node = tree.node_of[x]
-    component = old_node.subtree_vertices()
+    with _obs.span("incremental.apply_anchor", anchor=x):
+        old_node = tree.node_of[x]
+        component = old_node.subtree_vertices()
 
-    # ---- Algorithm 3 lines 1-6: invalidation from the old structures.
-    removals: dict[Vertex, set[NodeId]] = {}
-    affected: set[Vertex] = set()
-    if compute_removals:
-        for nid in state.sn(x):  # lint: order-ok set union is commutative
-            affected |= tree.nodes[nid].vertices
-        _invalidate(state.adjacency, tree, affected, removals)
-    old_ids = {v: tree.node_of[v].node_id for v in component}
+        # ---- Algorithm 3 lines 1-6: invalidation from the old structures.
+        removals: dict[Vertex, set[NodeId]] = {}
+        affected: set[Vertex] = set()
+        if compute_removals:
+            with _obs.span("incremental.invalidate", phase="old"):
+                for nid in state.sn(x):  # lint: order-ok set union is commutative
+                    affected |= tree.nodes[nid].vertices
+                _invalidate(state.adjacency, tree, affected, removals)
+        old_ids = {v: tree.node_of[v].node_id for v in component}
 
-    # ---- Lines 7-10: re-decompose the component locally and splice.
+        # ---- Lines 7-10: re-decompose the component locally and splice.
+        with _obs.span("incremental.repeel", component=len(component)):
+            changed = _repeel_and_splice(state, x, old_node, component, old_ids)
+
+        # ---- Refresh the derived rows the anchoring actually changed. A
+        # vertex's row depends only on its own coreness and on its
+        # neighbors' anchor flag, node id and coreness, so the rows of
+        # ``changed`` and of their neighbors are the only stale ones.
+        dirty = set(changed)
+        for v in changed:  # lint: order-ok set union is commutative
+            dirty |= graph.neighbors(v)
+        with _obs.span("incremental.adjacency_refresh", dirty=len(dirty)):
+            _refresh_adjacency(state, dirty)
+        # Keep the flat kernel tables (if this state has been explored by
+        # a flat-family follower backend) in sync with the same increment.
+        if state.kernel_tables is not None:
+            with _obs.span("incremental.table_refresh", dirty=len(dirty)):
+                state.kernel_tables.apply_update(state, dirty)
+
+        # ---- Lines 12-16: invalidation from the new structures.
+        if compute_removals:
+            with _obs.span("incremental.invalidate", phase="new"):
+                _invalidate_widened(state, affected, old_ids, removals)
+    return removals
+
+
+def _repeel_and_splice(
+    state: AnchoredState,
+    x: Vertex,
+    old_node: TreeNode,
+    component: set[Vertex],
+    old_ids: dict[Vertex, NodeId],
+) -> set[Vertex]:
+    """Re-peel ``CC(T[x])`` with ``x`` anchored and splice its subtree.
+
+    Returns the vertices the anchoring changed: ``x``, every component
+    vertex whose shell-layer pair or tree node id moved, and every
+    boundary anchor whose effective coreness moved.
+    """
+    graph = state.graph
+    tree = state.tree
     # Anchors adjacent to the component supply permanent support and act
     # as connectors; anchor-anchor chains extend that connectivity, so
     # the induced subgraph takes the closure of adjacent anchors.
@@ -82,11 +139,15 @@ def apply_anchor(
     local = peel_decomposition(sub, closure | {x})
     coreness = state.decomposition.coreness
     shell_layer = state.decomposition.shell_layer
-    for v in component:
+    changed = {x}
+    for v in component:  # lint: order-ok per-vertex writes are independent
         if v == x:
             continue
-        coreness[v] = local.coreness[v]
-        shell_layer[v] = local.shell_layer[v]
+        pair = local.shell_layer[v]
+        if pair != shell_layer[v]:
+            changed.add(v)
+            coreness[v] = local.coreness[v]
+            shell_layer[v] = pair
     # Anchor effective corenesses are defined over *global* non-anchor
     # neighborhoods; refresh every anchor whose neighborhood changed.
     state.anchors = new_anchors
@@ -99,6 +160,8 @@ def apply_anchor(
             ),
             default=0,
         )
+        if coreness[a] != eff:
+            changed.add(a)
         coreness[a] = eff
         shell_layer[a] = (eff, 0)
     state.decomposition = CoreDecomposition(
@@ -132,35 +195,35 @@ def apply_anchor(
         tree.nodes[nid] = node
     for v, node in subtree.node_of.items():
         tree.node_of[v] = node
+        if node.node_id != old_ids[v]:
+            changed.add(v)
+    return changed
 
-    # ---- Refresh adjacency/support for the component's neighborhood.
-    touched = set(component)
-    for v in component:
-        touched |= graph.neighbors(v)
-    _refresh_adjacency(state, touched)
-    # Keep the flat kernel tables (if this state has been explored by a
-    # flat-family follower backend) in sync with the same increment.
-    if state.kernel_tables is not None:
-        state.kernel_tables.apply_update(state, touched)
 
-    # ---- Lines 12-16: invalidation from the new structures.
-    if compute_removals:
-        widened: set[Vertex] = set()
-        for v in affected:  # lint: order-ok set union is commutative
-            if v in new_anchors:
-                continue
-            widened |= tree.node_of[v].vertices
-        # removals accumulate into per-vertex sets; scan order is free
-        for v in widened - affected:  # lint: order-ok commutative set inserts
-            vid = old_ids.get(v)
-            if vid is None:
-                continue
-            removals.setdefault(v, set()).add(vid)
-            tca_v = state.adjacency.tca[v]
-            for nid2 in state.adjacency.pn[v]:
-                for u in tca_v[nid2]:
-                    removals.setdefault(u, set()).add(vid)
-    return removals
+def _invalidate_widened(
+    state: AnchoredState,
+    affected: set[Vertex],
+    old_ids: dict[Vertex, NodeId],
+    removals: dict[Vertex, set[NodeId]],
+) -> None:
+    """Lines 12-16: vertices newly sharing a node with an affected one
+    lose their old node id, for themselves and their lower neighbors."""
+    node_of = state.tree.node_of
+    widened: set[Vertex] = set()
+    for v in affected:  # lint: order-ok set union is commutative
+        if v in state.anchors:
+            continue
+        widened |= node_of[v].vertices
+    # removals accumulate into per-vertex sets; scan order is free
+    for v in widened - affected:  # lint: order-ok commutative set inserts
+        vid = old_ids.get(v)
+        if vid is None:
+            continue
+        removals.setdefault(v, set()).add(vid)
+        tca_v = state.adjacency.tca[v]
+        for nid2 in state.adjacency.pn[v]:
+            for u in tca_v[nid2]:
+                removals.setdefault(u, set()).add(vid)
 
 
 def _invalidate(
@@ -190,8 +253,8 @@ def _all_subtree_nodes(root) -> list:
     return nodes
 
 
-def _refresh_adjacency(state: AnchoredState, touched: set[Vertex]) -> None:
-    """Recompute tca/sn/pn and the support tables for ``touched``.
+def _refresh_adjacency(state: AnchoredState, dirty: set[Vertex]) -> None:
+    """Recompute tca/sn/pn and the support tables for ``dirty``.
 
     Mirrors the tracked :class:`TreeAdjacency` pass: anchored neighbors
     are bucketed nowhere and counted as fixed support.
@@ -201,7 +264,7 @@ def _refresh_adjacency(state: AnchoredState, touched: set[Vertex]) -> None:
     coreness = state.decomposition.coreness
     node_of = state.tree.node_of
     adjacency = state.adjacency
-    for u in touched:  # lint: order-ok per-vertex updates are independent
+    for u in dirty:  # lint: order-ok per-vertex updates are independent
         cu = coreness[u]
         tca_u: dict[NodeId, set[Vertex]] = {}
         sn_u: set[NodeId] = set()

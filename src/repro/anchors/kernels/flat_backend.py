@@ -22,9 +22,10 @@ entirely on dense integer ids:
 
 The tables are cached on the state (``state.kernel_tables``) and kept
 current by :func:`repro.anchors.incremental.apply_anchor`, which calls
-:meth:`FlatTables.apply_update` for exactly the vertices whose derived
-values it refreshed — the same increment that keeps the per-worker
-lineage caches cheap keeps these tables warm across greedy rounds.
+:meth:`FlatTables.apply_update` with the vertices whose derived rows
+changed — the anchoring's changed vertices plus their neighbors — so a
+round costs work in proportion to what the anchor moved, not to the
+size of its component's neighborhood.
 """
 
 from __future__ import annotations
@@ -210,14 +211,16 @@ class FlatTables:
         self.higher[i] = tuple(hi)
         self.loweq[i] = tuple(lo)
 
-    def apply_update(self, state: AnchoredState, touched: set[Vertex]) -> None:
-        """Refresh the tables for the vertices ``apply_anchor`` changed.
+    def apply_update(self, state: AnchoredState, dirty: set[Vertex]) -> None:
+        """Refresh the tables for the vertices whose derived rows changed.
 
-        ``touched`` is the anchored component plus its neighborhood —
-        exactly the set whose coreness/shell-layer/support/same-shell
-        values the incremental anchoring refreshed (including the new
-        anchor itself and the boundary anchors whose effective coreness
-        moved).
+        ``dirty`` is ``changed ∪ N(changed)``, where ``changed`` holds
+        every vertex whose anchor flag, coreness, shell-layer pair or
+        tree node id the anchoring moved. Every per-id entry here
+        depends only on the owner's own values and its neighbors'
+        anchor flag, node id and coreness, so no entry outside
+        ``dirty`` can be stale — except the ``higher`` / ``loweq``
+        splits, which are widened below.
         """
         index = self.index
         coreness = state.decomposition.coreness
@@ -243,7 +246,7 @@ class FlatTables:
         redo: set[int] = set()
         moved: list[int] = []
         ids: list[int] = []
-        for u in touched:  # lint: order-ok per-id updates are independent
+        for u in dirty:  # lint: order-ok per-id updates are independent
             i = index[u]
             ids.append(i)
             core[i] = coreness[u]
@@ -269,17 +272,16 @@ class FlatTables:
         # row owner, so they depend on core values possibly updated
         # later in the loop above — rebuild them in a second pass. A
         # core change of either endpoint lands both endpoints in
-        # ``touched`` (the changed vertex is in the component, its
-        # neighbors in the component's neighborhood), so refreshing the
-        # touched rows covers every stale entry.
+        # ``dirty`` (the moved vertex and its neighbors), so refreshing
+        # the dirty rows covers every stale entry.
         for i in ids:  # lint: order-ok per-id rebuilds are independent
             support[i] = tuple(j for j in rows[i] if core[j] >= core[i])
         # The higher/loweq splits classify each row entry by *its* layer,
         # so a vertex whose (shell, layer) pair moved also stales the
-        # splits of its same-shell neighbors — which may sit outside
-        # ``touched`` when only layers shifted within a shell. (Shell
-        # changes rewrite the neighbors' same-shell rows, which puts
-        # those neighbors in ``touched`` already.)
+        # splits of its same-shell neighbors. Under the ``dirty``
+        # contract they are refreshed already (they neighbor a changed
+        # vertex); widening here keeps the splits right whenever the
+        # moved vertices themselves are in ``dirty``.
         for i in moved:
             redo.update(same[i])
         for i in redo:  # lint: order-ok per-id splits are independent

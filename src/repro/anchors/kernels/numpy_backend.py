@@ -74,13 +74,13 @@ class NumpyTables(FlatTables):
             _np.asarray(row, dtype=_np.int32) for row in self.same
         ]
 
-    def apply_update(self, state: AnchoredState, touched: set[Vertex]) -> None:
-        super().apply_update(state, touched)
+    def apply_update(self, state: AnchoredState, dirty: set[Vertex]) -> None:
+        super().apply_update(state, dirty)
         index = self.index
         core_np = self.core_np
         layer_np = self.layer_np
         same_np = self.same_np
-        for u in touched:  # lint: order-ok per-id updates are independent
+        for u in dirty:  # lint: order-ok per-id updates are independent
             i = index[u]
             core_np[i] = self.core[i]
             layer_np[i] = self.layer[i]

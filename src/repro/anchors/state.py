@@ -3,14 +3,16 @@
 The greedy algorithms repeatedly need, for the current graph + anchor
 set: the peel decomposition (coreness + shell-layer pairs), the core
 component tree, and the tree-classified adjacency structures. This
-module bundles them into one immutable-by-convention object that is
-rebuilt after each anchoring.
+module bundles them into one object.
 
-The paper rebuilds only the subtree rooted at the anchor's node
-(Algorithm 3 lines 7–10); we rebuild globally — identical results with a
-constant-factor time difference (DESIGN.md §6). The result-*reuse*
-bookkeeping, which is what the paper's experiments measure, is
-implemented faithfully in :mod:`repro.anchors.reuse`.
+:meth:`AnchoredState.build` and :meth:`AnchoredState.with_anchor`
+compute everything from scratch; they are the correctness oracle. The
+greedy algorithms instead update a state in place with
+:func:`repro.anchors.incremental.apply_anchor`, the paper's local
+subtree rebuild (Algorithm 3 lines 7–10, DESIGN.md §6), which re-peels
+only the anchor's core component and refreshes only the rows the
+anchoring changed. The result-*reuse* bookkeeping is implemented in
+:mod:`repro.anchors.reuse`.
 """
 
 from __future__ import annotations

@@ -20,6 +20,11 @@ Graphs come from either ``--dataset <name>`` (a built-in replica) or
 ``anchor`` accept ``--profile`` to run traced and print the
 :mod:`repro.obs` phase profile and work counters afterwards
 (``--trace-out PATH`` additionally writes the Chrome trace artifact).
+
+Bad input — an unreadable or malformed edge list, an unknown dataset,
+an out-of-range budget, a mismatched checkpoint — prints a one-line
+``error: ...`` on stderr and exits 2, like ``repro.bench`` and
+``repro.obs``.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from repro.anchors.heuristics import HEURISTICS
 from repro.cascade import departure_cascade
 from repro.core.decomposition import core_decomposition, coreness_gain, peel_decomposition
 from repro.datasets import registry
+from repro.errors import ReproError, VerificationError
 from repro.graphs.graph import Graph
 from repro.graphs.io import read_edge_list
 from repro.olak.olak import olak
@@ -294,7 +300,13 @@ def main(argv: list[str] | None = None) -> int:
         # refuses to swallow leading --flags, so bypass it entirely).
         return _cmd_lint(list(argv[1:]))
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_faults.FaultInjected, VerificationError):
+        raise  # a simulated crash or a broken invariant is not bad input
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

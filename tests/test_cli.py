@@ -73,6 +73,46 @@ class TestAnchor:
         assert "anchors       5" in capsys.readouterr().out
 
 
+class TestBadInput:
+    """Bad input gives one ``error:`` line on stderr and exit 2."""
+
+    @staticmethod
+    def _assert_one_line_error(capsys, needle):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ") and needle in lines[0]
+
+    def test_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.txt")
+        assert main(["anchor", "--edges", missing]) == 2
+        self._assert_one_line_error(capsys, "absent.txt")
+
+    def test_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        assert main(["anchor", "--edges", str(path), "-b", "1"]) == 2
+        self._assert_one_line_error(capsys, "0 anchorable vertices")
+
+    def test_malformed_edge_list(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\nfoo bar\n")
+        assert main(["anchor", "--edges", str(path), "-b", "1"]) == 2
+        self._assert_one_line_error(capsys, "bad.txt:2")
+
+    @pytest.mark.parametrize("budget", ["10", "-1"])
+    def test_out_of_range_budget(self, tmp_path, capsys, budget):
+        path = tmp_path / "triangle.txt"
+        path.write_text("0 1\n1 2\n0 2\n")
+        assert main(["anchor", "--edges", str(path), "-b", budget]) == 2
+        self._assert_one_line_error(capsys, "budget")
+
+    def test_unknown_dataset(self, capsys):
+        assert main(["anchor", "--dataset", "nosuch"]) == 2
+        self._assert_one_line_error(capsys, "nosuch")
+
+
 class TestCascade:
     def test_cascade(self, edge_file, capsys):
         assert main(

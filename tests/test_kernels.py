@@ -13,17 +13,19 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.anchors import kernels
 from repro.anchors.followers import FollowerCounters, find_followers
 from repro.anchors.gac import gac
 from repro.anchors.incremental import apply_anchor
+from repro.anchors.kernels.flat_backend import FlatTables
 from repro.anchors.state import AnchoredState
 from repro.datasets import registry
 from repro.olak.olak import olak
 
-from conftest import graph_and_vertex
+from conftest import graph_strategy
 
 #: Every backend the current environment can actually run.
 AVAILABLE_KERNELS = ("dict", "flat") + (
@@ -170,26 +172,73 @@ def test_counters_from_window_parity_across_backends_arxiv_b5():
 
 
 # ----------------------------------------------------------------------
-# Incremental table maintenance: after apply_anchor the cached flat
-# tables must answer exactly like a from-scratch build (covers core
-# moves, layer-only moves staling neighbor splits, support-row and
-# sn_ids refresh).
+# Incremental table maintenance: after each apply_anchor the cached flat
+# tables must equal a from-scratch build field by field, and answer
+# exactly like one (covers core moves, layer-only moves staling
+# neighbor splits, support-row and sn_ids refresh). The hub makes the
+# anchored component's neighborhood span most of the graph, so a
+# refresh that skips a changed vertex's neighbors shows up.
+
+#: Every table field that ``apply_update`` maintains.
+TABLE_FIELDS = (
+    "core",
+    "shell",
+    "layer",
+    "keys",
+    "fixed",
+    "same",
+    "higher",
+    "loweq",
+    "support",
+    "is_anchor",
+    "tca_ids",
+    "sn_ids",
+)
 
 
-@given(graph_and_vertex(max_vertices=16))
+@st.composite
+def hub_graph_and_anchors(draw):
+    """A random graph plus a hub adjacent to most vertices, and a
+    sequence of at least three distinct anchors."""
+    graph = draw(graph_strategy(max_vertices=16))
+    n = graph.num_vertices
+    hub = n
+    graph.add_vertex(hub)
+    skipped = draw(st.sets(st.integers(0, n - 1), max_size=max(0, n // 4)))
+    for v in range(n):
+        if v not in skipped:
+            graph.add_edge(hub, v)
+    anchors = draw(
+        st.lists(
+            st.integers(0, n), min_size=min(3, n + 1), max_size=5, unique=True
+        )
+    )
+    return graph, anchors
+
+
+@given(hub_graph_and_anchors())
 @FAST
-def test_incremental_tables_match_fresh_build(pair):
-    graph, x = pair
+def test_incremental_tables_match_fresh_build(case):
+    graph, anchors = case
     state = AnchoredState.build(graph)
     # Warm the cached tables pre-anchor so apply_anchor takes the
     # incremental apply_update path instead of a rebuild.
     seed = next(iter(sorted(graph.vertices())))
     find_followers(state, seed, kernel="flat")
-    assert state.kernel_tables is not None
-    apply_anchor(state, x)
-    fresh = AnchoredState.build(graph, {x})
+    tables = state.kernel_tables
+    assert tables is not None
+    for step, x in enumerate(anchors, 1):
+        apply_anchor(state, x)
+        assert state.kernel_tables is tables
+        fresh = AnchoredState.build(graph, anchors[:step])
+        scratch_tables = FlatTables(fresh, tables.csr)
+        for field in TABLE_FIELDS:
+            assert getattr(tables, field) == getattr(scratch_tables, field), (
+                field,
+                anchors[:step],
+            )
     for u in sorted(graph.vertices()):
-        if u == x:
+        if u in state.anchors:
             continue
         incremental = find_followers(state, u, kernel="flat")
         scratch = find_followers(fresh, u, kernel="dict")
