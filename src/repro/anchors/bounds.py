@@ -2,10 +2,21 @@
 
 For a candidate anchor ``x`` the bound ``UB_sigma(x)`` dominates
 ``|F(x)|`` (Theorem 4.17): every vertex reachable from ``x`` by an
-upstair path is counted at least once. It is computed for *all* vertices
-in one O(m) pass by processing vertices in reverse order of their
-shell-layer pairs — a topological order of the upstair-edge DAG — so the
-own-node bound of every vertex is ready before anyone sums over it.
+upstair path is counted at least once.
+
+The bounds are a derived structure of :class:`AnchoredState`, like its
+kernel tables. The first :func:`compute_upper_bounds` call builds them
+for every non-anchor vertex in one O(m) pass
+(:func:`build_upper_bounds`), processing vertices in reverse order of
+their shell-layer pairs — a topological order of the upstair-edge DAG —
+so the own-node bound of every vertex is ready before anyone sums over
+it. From then on :func:`repro.anchors.incremental.apply_anchor` keeps
+them current with :func:`refresh_upper_bounds`, which recomputes only
+what the anchoring changed: the own-node bounds (Eq 1) of the refreshed
+rows and of whatever their changes propagate to down the upstair DAG,
+then the per-node parts and totals (Eqs 2-3) of those rows and of the
+neighbors of every vertex whose own-node bound moved. The from-scratch
+build stays as the oracle (:func:`repro.verify.invariants.verify_upper_bounds`).
 
 The GAC algorithm scans candidates in decreasing bound order and skips
 any candidate whose bound cannot beat the best gain found so far; after
@@ -15,8 +26,10 @@ bound parts where available ("Upper Bound Refining").
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
+from repro import obs as _obs
 from repro.anchors.state import AnchoredState
 from repro.core.tree import NodeId
 from repro.graphs.graph import Vertex
@@ -32,48 +45,142 @@ class UpperBounds:
         parts: per node id in ``sn(u)``, the bound on ``|F[u][id]|``
             (``own[u]`` for the own node, Eq 2 for deeper nodes).
         total: ``UB_sigma(u)`` (Eq 3) — the sum of ``parts[u]``.
+        refreshed: the vertices whose ``parts``/``total`` the anchorings
+            since the last :meth:`take_refreshed` recomputed. Every other
+            candidate kept its parts.
     """
 
     own: dict[Vertex, int] = field(default_factory=dict)
     parts: dict[Vertex, dict[NodeId, int]] = field(default_factory=dict)
     total: dict[Vertex, int] = field(default_factory=dict)
+    refreshed: set[Vertex] = field(default_factory=set)
+
+    def take_refreshed(self) -> set[Vertex]:
+        """The refreshed vertices so far; starts a new record."""
+        taken, self.refreshed = self.refreshed, set()
+        return taken
 
 
 @pure
 def compute_upper_bounds(state: AnchoredState) -> UpperBounds:
-    """Equations 1-3 for every non-anchor vertex of the current state."""
+    """Equations 1-3 for every non-anchor vertex of the current state.
+
+    Built on the first call and cached on ``state``; later calls return
+    the same object, which ``apply_anchor`` keeps current.
+    """
+    bounds = state.bounds
+    if bounds is None:
+        bounds = state.bounds = build_upper_bounds(state)
+    return bounds
+
+
+@pure
+def build_upper_bounds(state: AnchoredState) -> UpperBounds:
+    """Equations 1-3 from scratch (the first build and the oracle)."""
+    with _obs.span("bounds.build"):
+        anchors = state.anchors
+        pairs = state.decomposition.shell_layer
+        bounds = UpperBounds()
+        # Reverse topological order of the upstair DAG: descending (k, i).
+        # Ties (equal pairs) carry no upstair edges, so any tie order works.
+        candidates = state.candidates()
+        for u in sorted(candidates, key=pairs.__getitem__, reverse=True):
+            bounds.own[u] = _own_bound(state, bounds.own, u)
+        for u in candidates:
+            _fill_parts(state, bounds, u)
+    return bounds
+
+
+@pure
+def refresh_upper_bounds(  # lint: obs-ok timed by apply_anchor's bounds_refresh span
+    state: AnchoredState, bounds: UpperBounds, dirty: set[Vertex]
+) -> None:
+    """Bring ``state``'s kept ``bounds`` up to date after an anchoring.
+
+    ``dirty`` must hold every vertex whose pair, node id, anchor flag or
+    adjacency rows the anchoring changed, plus their neighbors (the set
+    ``apply_anchor`` refreshes). Eq 1 of a vertex reads its neighbors'
+    pairs and anchor flags and the own-node bounds of its same-shell,
+    higher-layer neighbors, so it is recomputed for ``dirty`` in
+    descending ``(k, i)`` order; a vertex whose value moved queues its
+    same-shell, lower-layer neighbors. Eqs 2-3 of a vertex read its
+    node id, its ``sn``/``tca`` rows and its neighbors' own-node bounds,
+    so they are recomputed for ``dirty``, the vertices whose own-node
+    bound moved and the neighbors of those.
+    """
     graph = state.graph
     anchors = state.anchors
     pairs = state.decomposition.shell_layer
-    bounds = UpperBounds()
     own = bounds.own
+    for v in dirty & anchors:  # lint: order-ok independent dict deletions
+        own.pop(v, None)
+        bounds.parts.pop(v, None)
+        bounds.total.pop(v, None)
 
-    # Reverse topological order of the upstair DAG: descending (k, i).
-    # Ties (equal pairs) carry no upstair edges, so any tie order works.
-    candidates = [u for u in graph.vertices() if u not in anchors]
-    for u in sorted(candidates, key=lambda v: pairs[v], reverse=True):
+    # A pushed vertex always has a smaller pair than the popped one, so
+    # every queued vertex pops once, after all its upper neighbors.
+    queued = dirty - anchors
+    # Ties are equal pairs, which share no upstair edge: any order works.
+    ranked = enumerate(queued)  # lint: order-ok tie order is free
+    heap = [(-pairs[v][0], -pairs[v][1], seq, v) for seq, v in ranked]
+    heapq.heapify(heap)
+    seq = len(heap)
+    own_changed: set[Vertex] = set()
+    while heap:
+        u = heapq.heappop(heap)[3]
+        value = _own_bound(state, own, u)
+        if own[u] == value:
+            continue
+        own[u] = value
+        own_changed.add(u)
         ku, iu = pairs[u]
-        acc = 0
-        for v in graph.neighbors(u):  # lint: order-ok commutative sum accumulation
-            if v in anchors:
-                continue
-            kv, iv = pairs[v]
-            if kv == ku and iv > iu:
-                acc += own[v] + 1
-        own[u] = acc
+        for v in state.same_shell[u]:
+            iv = pairs[v][1]
+            if iv < iu and v not in queued:
+                queued.add(v)
+                heapq.heappush(heap, (-ku, -iv, seq, v))
+                seq += 1
 
-    node_of = state.tree.node_of
-    for u in candidates:
-        i_u = node_of[u].node_id
-        parts: dict[NodeId, int] = {i_u: own[u]}
-        tca_u = state.tca(u)
-        for nid in state.sn(u):  # lint: order-ok parts feed an order-free sum
-            if nid == i_u:
-                continue
-            parts[nid] = sum(own[v] + 1 for v in tca_u[nid] if v not in anchors)
-        bounds.parts[u] = parts
-        bounds.total[u] = sum(parts.values())
-    return bounds
+    stale = dirty | own_changed
+    for v in own_changed:  # lint: order-ok set union is commutative
+        stale |= graph.neighbors(v)
+    stale -= anchors
+    for u in stale:  # lint: order-ok per-vertex updates are independent
+        _fill_parts(state, bounds, u)
+    bounds.refreshed |= stale
+
+
+def _own_bound(state: AnchoredState, own: dict[Vertex, int], u: Vertex) -> int:
+    """Eq 1: ``own[v] + 1`` summed over u's same-shell upper neighbors.
+
+    ``same_shell[u]`` lists exactly the non-anchor neighbors of u's
+    coreness, so the upper ones are those with a higher layer.
+    """
+    pairs = state.decomposition.shell_layer
+    iu = pairs[u][1]
+    acc = 0
+    for v in state.same_shell[u]:
+        if pairs[v][1] > iu:
+            acc += own[v] + 1
+    return acc
+
+
+def _fill_parts(state: AnchoredState, bounds: UpperBounds, u: Vertex) -> None:
+    """Eqs 2-3 for ``u``: per-node parts over ``sn(u)`` and their sum.
+
+    ``tca`` buckets hold no anchors, so every member has an ``own`` entry.
+    """
+    own = bounds.own
+    i_u = state.tree.node_of[u].node_id
+    parts: dict[NodeId, int] = {i_u: own[u]}
+    tca_u = state.tca(u)
+    for nid in state.sn(u):  # lint: order-ok parts feed an order-free sum
+        if nid == i_u:
+            continue
+        bucket = tca_u[nid]
+        parts[nid] = len(bucket) + sum(map(own.__getitem__, bucket))
+    bounds.parts[u] = parts
+    bounds.total[u] = sum(parts.values())
 
 
 @pure

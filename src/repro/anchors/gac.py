@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Literal
 from repro import checkpoint as _checkpoint  # lint: layer-ok sanctioned persistence hook
 from repro import obs as _obs
 from repro.anchors import kernels as _kernels
-from repro.anchors.bounds import UpperBounds, compute_upper_bounds, refined_total
+from repro.anchors.bounds import compute_upper_bounds, refined_total
 from repro.anchors.followers import (
     FollowerCounters,
     FollowerReport,
@@ -351,6 +351,7 @@ def _run_greedy(
     # the underlying set matters for correctness; the order is purely a
     # cache key.
     initial_sorted = tuple(sorted(initial, key=_sort_key))
+    ranking = _Ranking()
 
     try:
         while len(result.anchors) < budget:
@@ -373,6 +374,7 @@ def _run_greedy(
                     pool=pool,
                     lineage=initial_sorted + tuple(result.anchors),
                     kernel=kernel,
+                    ranking=ranking,
                 )
                 if pool is not None and pool.broken:
                     # A worker died or a dispatch failed: the scan already
@@ -558,6 +560,7 @@ def _select_best(
     pool: "CandidateScanPool | None" = None,
     lineage: tuple[Vertex, ...] = (),
     kernel: str = _kernels.DEFAULT_KERNEL,
+    ranking: "_Ranking",
 ) -> tuple[Vertex | None, int, bool]:
     """One greedy iteration: the candidate with the best marginal gain.
 
@@ -575,19 +578,24 @@ def _select_best(
     When ``pool`` is given the scan is dispatched to worker processes
     (:func:`_scan_parallel`); any failure there falls back to the serial
     scan with no state mutated, so the result is unchanged either way.
+
+    ``ranking`` carries the refined bounds across the rounds of one run.
     """
     candidates = state.candidates()
     if not candidates:
         return None, 0, False
 
-    bounds: UpperBounds | None = None
     refined: dict[Vertex, int] = {}
     if use_upper_bounds:
-        bounds = compute_upper_bounds(state)
-        for u in candidates:
-            cached = cache.valid_counts(u, state) if reuse else {}
-            refined[u] = refined_total(u, bounds, cached)
-        order = sorted(candidates, key=lambda u: (-refined[u], _sort_key(u)))
+        with _obs.span("gac.rank", candidates=len(candidates)):
+            order = ranking.rank(state, cache, reuse)
+        refined = ranking.refined
+        # Bounds maintenance soundness: the kept bounds and refined values
+        # equal a from-scratch computation.
+        if _verify_enabled():
+            from repro.verify.invariants import verify_upper_bounds
+
+            verify_upper_bounds(state, refined, cache if reuse else None)
     else:
         order = sorted(candidates, key=_sort_key)
 
@@ -629,6 +637,63 @@ def _select_best(
         )
 
 
+class _Ranking:
+    """The refined Section 4.5 bounds, kept across the rounds of one run.
+
+    A candidate's refined bound reads its bound parts and the cached
+    counts the reuse cache serves it. After the first round it is
+    recomputed only for the candidates whose parts ``apply_anchor``
+    refreshed and those whose cache entries changed. Any other
+    candidate's value is unchanged: its ``sn`` row did not change, and
+    each neighbor that puts a node in ``sn(u)`` kept its node id and
+    coreness, so every cached entry is served exactly as before.
+    """
+
+    __slots__ = ("canon", "refined", "served")
+
+    def __init__(self) -> None:
+        #: Candidates in canonical (``_sort_key``) order; ``None`` until
+        #: the first round.
+        self.canon: list[Vertex] | None = None
+        self.refined: dict[Vertex, int] = {}
+        #: Per candidate, how many cached counts its refined value used.
+        self.served: dict[Vertex, int] = {}
+
+    def rank(
+        self, state: AnchoredState, cache: FollowerCache, reuse: bool
+    ) -> list[Vertex]:
+        """Candidates by descending refined bound, ties in canonical order."""
+        bounds = compute_upper_bounds(state)
+        refreshed = bounds.take_refreshed()
+        touched = cache.take_changed()
+        refined = self.refined
+        served = self.served
+        first = self.canon is None
+        if first:
+            self.canon = sorted(state.candidates(), key=_sort_key)
+        else:
+            anchors = state.anchors
+            for a in anchors:  # lint: order-ok independent dict deletions
+                refined.pop(a, None)
+                served.pop(a, None)
+            self.canon = [u for u in self.canon if u not in anchors]
+        # Counts served to unchanged candidates are counted once here, as
+        # if each had been validated again.
+        carried = 0
+        for u in self.canon:
+            if first or u in refreshed or u in touched:
+                cached = cache.valid_counts(u, state) if reuse else {}
+                refined[u] = refined_total(u, bounds, cached)
+                served[u] = len(cached)
+            else:
+                carried += served[u]
+        if carried:
+            _obs.add(_obs.REUSE_SERVED, carried)
+        # A stable sort over the canonical list: equal bounds keep
+        # ``_sort_key`` order, the same as keying on ``(-refined, key)``.
+        return sorted(self.canon, key=refined.__getitem__, reverse=True)
+
+
 def _scan_serial(
     state: AnchoredState,
     cache: FollowerCache,
@@ -648,15 +713,17 @@ def _scan_serial(
     best: Vertex | None = None
     best_gain = -1
     best_tie = None
-    for u in order:
+    for pos, u in enumerate(order):
         if deadline is not None and _clock() > deadline:
             return None, 0, True
         # Prune strictly below the best gain (the paper prunes <=; the
         # strict form also evaluates potential ties so tie-breaking sees
-        # the same candidate pool as the unpruned variants).
+        # the same candidate pool as the unpruned variants). ``order``
+        # descends by bound and ``best_gain`` only rises, so every later
+        # candidate prunes too.
         if use_upper_bounds and refined[u] < best_gain:
-            _obs.add(_obs.PRUNED_CANDIDATES)
-            continue
+            _obs.add(_obs.PRUNED_CANDIDATES, len(order) - pos)
+            break
         if follower_method == "naive":
             follower_count = len(
                 followers_naive(
@@ -748,9 +815,13 @@ def _scan_parallel(
                     return None, 0, True
                 chunk = order[chunk_start : chunk_start + chunk_size]
                 tasks: list[tuple[Vertex, dict[NodeId, int] | None]] = []
+                # Bounds descend and ``sim_best`` only rises: the first
+                # pruned candidate ends the dispatch.
+                exhausted = False
                 for u in chunk:
                     if use_upper_bounds and refined[u] < sim_best:
-                        continue
+                        exhausted = True
+                        break
                     if reuse:
                         # Validation must not count: phase B replays the
                         # REUSE_SERVED adds in serial order.
@@ -774,6 +845,8 @@ def _scan_parallel(
                         entry = evaluated.get(u)
                         if entry is not None and entry[0] > sim_best:
                             sim_best = entry[0]
+                if exhausted:
+                    break
         except Exception:
             # Nothing was mutated; the caller reruns the scan serially.
             pool.broken = True
@@ -788,10 +861,10 @@ def _scan_parallel(
         def _defer(name: str, value: int = 1) -> None:
             pending[name] = pending.get(name, 0) + value
 
-        for u in order:
+        for pos, u in enumerate(order):
             if use_upper_bounds and refined[u] < best_gain:
-                _defer(_obs.PRUNED_CANDIDATES)
-                continue
+                _defer(_obs.PRUNED_CANDIDATES, len(order) - pos)
+                break
             gain, counts, deltas = evaluated[u]
             for name, value in deltas.items():
                 _defer(name, value)

@@ -19,18 +19,22 @@ After the splice, only the derived rows of ``changed ∪ N(changed)``
 are refreshed — ``changed`` being ``x``, the re-peeled vertices whose
 shell-layer pair or node id moved, and the boundary anchors whose
 effective coreness moved — because a vertex's rows depend only on its
-own coreness and its neighbors' anchor flag, node id and coreness.
+own coreness and its neighbors' anchor flag, node id and coreness. The
+Section 4.5 upper bounds, when the state has them, are refreshed from
+the same set (see :func:`repro.anchors.bounds.refresh_upper_bounds`).
 
 `apply_anchor` mutates the state. Its correctness oracle — structural
 equality with a fresh ``AnchoredState.build`` — runs in the test suite
 over random anchor sequences. Under tracing, the ``incremental.*``
 spans split a round's update into the re-peel and splice, the
-adjacency refresh, the kernel-table refresh and the cache invalidation.
+adjacency refresh, the kernel-table refresh, the bounds refresh and the
+cache invalidation.
 """
 
 from __future__ import annotations
 
 from repro import obs as _obs
+from repro.anchors.bounds import refresh_upper_bounds
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import CoreDecomposition, peel_decomposition
 from repro.core.tree import (
@@ -94,6 +98,10 @@ def apply_anchor(
         if state.kernel_tables is not None:
             with _obs.span("incremental.table_refresh", dirty=len(dirty)):
                 state.kernel_tables.apply_update(state, dirty)
+        # Likewise the Section 4.5 upper bounds, once something built them.
+        if state.bounds is not None:
+            with _obs.span("incremental.bounds_refresh", dirty=len(dirty)):
+                refresh_upper_bounds(state, state.bounds, dirty)
 
         # ---- Lines 12-16: invalidation from the new structures.
         if compute_removals:

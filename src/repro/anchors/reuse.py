@@ -38,10 +38,14 @@ class FollowerCache:
     node that happens to reuse an old node id).
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "changed")
 
     def __init__(self) -> None:
         self.entries: dict[Vertex, dict[NodeId, tuple[int, int]]] = {}
+        #: Vertices whose entries were stored, dropped or forgotten since
+        #: the last :meth:`take_changed` (the greedy ranking re-validates
+        #: only these; every other vertex serves the same counts).
+        self.changed: set[Vertex] = set()
 
     def store(self, report: FollowerReport, node_k: Mapping[NodeId, int]) -> None:
         """Record the per-node counts of a freshly evaluated candidate.
@@ -51,6 +55,7 @@ class FollowerCache:
         self.entries[report.anchor] = {
             nid: (node_k[nid], count) for nid, count in report.counts.items()
         }
+        self.changed.add(report.anchor)
 
     def valid_counts(self, u: Vertex, state: AnchoredState) -> dict[NodeId, int]:
         """Cached counts for ``u`` valid under the current state.
@@ -85,9 +90,12 @@ class FollowerCache:
             stored = self.entries.get(u)
             if not stored:
                 continue
+            before = dropped
             for nid in ids:
                 if stored.pop(nid, None) is not None:
                     dropped += 1
+            if dropped > before:
+                self.changed.add(u)
             if not stored:
                 del self.entries[u]
         if dropped:
@@ -96,10 +104,17 @@ class FollowerCache:
 
     def forget(self, u: Vertex) -> None:
         """Remove every entry for ``u`` (used when ``u`` becomes an anchor)."""
-        self.entries.pop(u, None)
+        if self.entries.pop(u, None) is not None:
+            self.changed.add(u)
 
     def clear(self) -> None:
+        self.changed.update(self.entries)
         self.entries.clear()
+
+    def take_changed(self) -> set[Vertex]:
+        """The changed vertices so far; starts a new record."""
+        taken, self.changed = self.changed, set()
+        return taken
 
 
 def result_reuse(

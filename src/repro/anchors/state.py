@@ -11,7 +11,7 @@ greedy algorithms instead update a state in place with
 :func:`repro.anchors.incremental.apply_anchor`, the paper's local
 subtree rebuild (Algorithm 3 lines 7–10, DESIGN.md §6), which re-peels
 only the anchor's core component and refreshes only the rows the
-anchoring changed. The result-*reuse* bookkeeping is implemented in
+anchoring changed, upper bounds included. The result-*reuse* bookkeeping is implemented in
 :mod:`repro.anchors.reuse`.
 """
 
@@ -25,6 +25,7 @@ from repro.core.tree import CoreComponentTree, NodeId, TreeAdjacency
 from repro.graphs.graph import Graph, Vertex
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle avoidance)
+    from repro.anchors.bounds import UpperBounds
     from repro.anchors.kernels.flat_backend import FlatTables
 
 
@@ -49,6 +50,7 @@ class AnchoredState:
         "fixed_support",
         "same_shell",
         "kernel_tables",
+        "bounds",
     )
 
     def __init__(
@@ -80,6 +82,10 @@ class AnchoredState:
         # first flat/numpy exploration and kept current by
         # ``apply_anchor`` (see repro.anchors.kernels.flat_backend).
         self.kernel_tables: FlatTables | None = None
+        # Section 4.5 upper bounds, built on the first
+        # ``compute_upper_bounds`` call and kept current by
+        # ``apply_anchor`` (see repro.anchors.bounds).
+        self.bounds: UpperBounds | None = None
 
     @classmethod
     def build(cls, graph: Graph, anchors: Iterable[Vertex] = ()) -> "AnchoredState":

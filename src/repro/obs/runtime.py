@@ -106,6 +106,10 @@ def tracing_enabled() -> bool:
         return False
     if _forced is not None:
         return _forced
+    return _env_enabled()
+
+
+def _env_enabled() -> bool:
     return os.environ.get(_ENV_FLAG, "").strip().lower() not in {"", "0", "false", "off"}
 
 
@@ -113,14 +117,18 @@ def tracing_enabled() -> bool:
 def tracing(force: bool | None = None) -> Iterator[None]:
     """Force span recording on (``True``) / off (``False``) for a block.
 
-    ``None`` leaves the environment-driven behavior untouched, which
-    lets APIs thread an ``obs=`` kwarg straight through (mirroring
+    ``None`` keeps an enclosing block's force, or else reads
+    ``REPRO_TRACE`` once here and forces that for the block, so the
+    spans inside never read the environment again. APIs thread an
+    ``obs=`` kwarg straight through (mirroring
     ``repro.verify.verification``).
     """
     global _forced
     if force is None:
-        yield
-        return
+        if _forced is not None:
+            yield
+            return
+        force = _env_enabled()
     previous = _forced
     _forced = force
     try:

@@ -42,7 +42,7 @@ def enabled() -> bool:
         return False
     if _forced is not None:
         return _forced
-    return _env_value() not in {"", "0", "false", "off"}
+    return _env_enabled()
 
 
 def thorough() -> bool:
@@ -71,17 +71,25 @@ def _env_value() -> str:
     return os.environ.get(_ENV_FLAG, "").strip().lower()
 
 
+def _env_enabled() -> bool:
+    return _env_value() not in {"", "0", "false", "off"}
+
+
 @contextmanager
 def verification(force: bool | None = None) -> Iterator[None]:
     """Force verification on (``True``) / off (``False``) for a block.
 
-    ``None`` leaves the environment-driven behavior untouched, which
-    lets APIs thread their ``verify`` kwarg straight through.
+    ``None`` keeps an enclosing block's force, or else reads
+    ``REPRO_VERIFY`` once here and forces that for the block, so the
+    checks inside never read the environment again. APIs thread their
+    ``verify`` kwarg straight through.
     """
     global _forced
     if force is None:
-        yield
-        return
+        if _forced is not None:
+            yield
+            return
+        force = _env_enabled()
     previous = _forced
     _forced = force
     try:

@@ -20,6 +20,8 @@ Checked invariants (see ``docs/verification.md``):
   re-decomposition;
 * the Algorithm-3 reuse cache never serves a count that a fresh
   exploration would contradict (no stale tree nodes);
+* the upper bounds ``apply_anchor`` keeps, and the refined bounds the
+  greedy ranking keeps across rounds, equal a from-scratch computation;
 * upper-bound pruning never discards a candidate whose true marginal
   gain exceeds the selected one, i.e. the greedy pick is a true argmax;
 * the greedy run's summed marginal gains equal the coreness gain of
@@ -39,6 +41,7 @@ from repro.graphs.graph import Graph, Vertex
 from repro.verify.reference import reference_coreness, reference_followers
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import, avoids a cycle
+    from repro.anchors.reuse import FollowerCache
     from repro.anchors.state import AnchoredState
 
 __all__ = [
@@ -50,6 +53,7 @@ __all__ = [
     "verify_resume_replay",
     "verify_selection",
     "verify_shell_layers",
+    "verify_upper_bounds",
 ]
 
 
@@ -210,6 +214,52 @@ def verify_cache_counts(
                     "reuse-cache-count",
                     f"cache served |F[{u!r}][{nid!r}]| = {count} but a fresh "
                     f"exploration finds {actual} — stale count",
+                )
+
+
+def verify_upper_bounds(
+    state: "AnchoredState",
+    refined: Mapping[Vertex, int],
+    cache: "FollowerCache | None",
+) -> None:
+    """Kept bounds and refined values equal a from-scratch computation.
+
+    ``cache`` is the reuse cache the refined values were validated
+    against (``None`` when the run does not reuse results).
+    """
+    with verify.suspended():
+        from repro.anchors.bounds import build_upper_bounds, refined_total
+
+        kept = state.bounds
+        fresh = build_upper_bounds(state)
+        for name in ("own", "parts", "total"):
+            have, want = getattr(kept, name), getattr(fresh, name)
+            if have == want:
+                continue
+            wrong = sorted(
+                (u for u in have.keys() | want.keys() if have.get(u) != want.get(u)),
+                key=repr,
+            )
+            u = wrong[0]
+            _fail(
+                f"bounds-{name}",
+                f"{len(wrong)} vertices differ from a fresh build, e.g. "
+                f"{u!r}: kept {have.get(u)!r}, fresh {want.get(u)!r}",
+            )
+        candidates = state.candidates()
+        if set(refined) != set(candidates):
+            _fail(
+                "refined-candidates",
+                f"{len(refined)} refined bounds for {len(candidates)} candidates",
+            )
+        for u in sorted(candidates, key=repr):
+            cached = cache.valid_counts(u, state) if cache is not None else {}
+            expected = refined_total(u, fresh, cached)
+            if refined[u] != expected:
+                _fail(
+                    "refined-bound",
+                    f"candidate {u!r} ranked with refined bound {refined[u]} "
+                    f"but a fresh computation gives {expected}",
                 )
 
 

@@ -96,3 +96,23 @@ def graph_and_vertex(draw, max_vertices: int = 24):
     graph = draw(graph_strategy(max_vertices=max_vertices))
     x = draw(st.integers(min_value=0, max_value=graph.num_vertices - 1))
     return graph, x
+
+
+@st.composite
+def hub_graph_and_anchors(draw):
+    """A random graph plus a hub adjacent to most vertices, and a
+    sequence of at least three distinct anchors."""
+    graph = draw(graph_strategy(max_vertices=16))
+    n = graph.num_vertices
+    hub = n
+    graph.add_vertex(hub)
+    skipped = draw(st.sets(st.integers(0, n - 1), max_size=max(0, n // 4)))
+    for v in range(n):
+        if v not in skipped:
+            graph.add_edge(hub, v)
+    anchors = draw(
+        st.lists(
+            st.integers(0, n), min_size=min(3, n + 1), max_size=5, unique=True
+        )
+    )
+    return graph, anchors

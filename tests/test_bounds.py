@@ -1,14 +1,21 @@
 """Tests for the follower-count upper bound (Equations 1-3, Theorem 4.17)."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
 
 from repro.anchors.bounds import compute_upper_bounds, refined_total
 from repro.anchors.followers import find_followers
+from repro.anchors.gac import gac
+from repro.anchors.incremental import apply_anchor
 from repro.anchors.state import AnchoredState
+from repro.datasets import registry
 from repro.datasets.toy import figure2_graph, figure5b_graph
+from repro.errors import VerificationError
 from repro.graphs.graph import Graph
 
-from conftest import small_random_graph
+from conftest import hub_graph_and_anchors, small_random_graph
 
 
 class TestDominance:
@@ -100,3 +107,52 @@ class TestRefinement:
         # part id appears in the report (zero-count nodes included)
         counts = {nid: report.counts.get(nid, 0) for nid in bounds.parts[2]}
         assert refined_total(2, bounds, counts) == report.total
+
+
+# ----------------------------------------------------------------------
+# Bounds kept across anchorings: after each apply_anchor the state's
+# bounds must equal a from-scratch build field by field. The hub makes
+# an anchoring move most of the graph's rows, so a refresh that misses
+# a propagated own-node change or a neighbor of one shows up.
+
+
+@given(hub_graph_and_anchors())
+@settings(max_examples=40, deadline=None)
+def test_kept_bounds_match_fresh_build(case):
+    graph, anchors = case
+    state = AnchoredState.build(graph)
+    bounds = compute_upper_bounds(state)
+    for step, x in enumerate(anchors, 1):
+        apply_anchor(state, x)
+        assert compute_upper_bounds(state) is bounds
+        fresh = compute_upper_bounds(AnchoredState.build(graph, anchors[:step]))
+        for field in ("own", "parts", "total"):
+            assert getattr(bounds, field) == getattr(fresh, field), (
+                field,
+                anchors[:step],
+            )
+
+
+def test_states_without_bounds_build_none():
+    """Anchoring a state nobody asked for bounds keeps it bound-free."""
+    g = small_random_graph(3)
+    state = AnchoredState.build(g)
+    apply_anchor(state, next(iter(sorted(g.vertices()))))
+    assert state.bounds is None
+
+
+@pytest.mark.parametrize("dataset", ["brightkite", "arxiv"])
+@pytest.mark.parametrize("tie_break", ["ub", "id"])
+def test_gac_kept_ranking_verified(dataset, tie_break):
+    """Under verify=True every round checks the kept bounds and refined
+    values against a fresh computation (``ub`` ties read them too)."""
+    result = gac(registry.load(dataset), 6, tie_break=tie_break, verify=True)
+    assert len(result.anchors) == 6
+
+
+def test_verify_catches_stale_bounds(monkeypatch):
+    """The oracle fires when the bounds stop being refreshed."""
+    incremental = sys.modules["repro.anchors.incremental"]
+    monkeypatch.setattr(incremental, "refresh_upper_bounds", lambda *args: None)
+    with pytest.raises(VerificationError, match="bounds-|refined-"):
+        gac(registry.load("arxiv"), 3, tie_break="id", verify=True)

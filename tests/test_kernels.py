@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.anchors import kernels
@@ -25,7 +24,7 @@ from repro.anchors.state import AnchoredState
 from repro.datasets import registry
 from repro.olak.olak import olak
 
-from conftest import graph_strategy
+from conftest import hub_graph_and_anchors
 
 #: Every backend the current environment can actually run.
 AVAILABLE_KERNELS = ("dict", "flat") + (
@@ -194,26 +193,6 @@ TABLE_FIELDS = (
     "tca_ids",
     "sn_ids",
 )
-
-
-@st.composite
-def hub_graph_and_anchors(draw):
-    """A random graph plus a hub adjacent to most vertices, and a
-    sequence of at least three distinct anchors."""
-    graph = draw(graph_strategy(max_vertices=16))
-    n = graph.num_vertices
-    hub = n
-    graph.add_vertex(hub)
-    skipped = draw(st.sets(st.integers(0, n - 1), max_size=max(0, n // 4)))
-    for v in range(n):
-        if v not in skipped:
-            graph.add_edge(hub, v)
-    anchors = draw(
-        st.lists(
-            st.integers(0, n), min_size=min(3, n + 1), max_size=5, unique=True
-        )
-    )
-    return graph, anchors
 
 
 @given(hub_graph_and_anchors())

@@ -9,6 +9,8 @@ checker that never fires is worse than none.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import verify
@@ -67,6 +69,44 @@ class TestEnablement:
         with verify.verification(True):
             assert verify.enabled()
         assert not verify.enabled()
+
+    def test_none_resolves_env_once_at_entry(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        with verify.verification(None):
+            monkeypatch.delenv("REPRO_VERIFY")
+            assert verify.enabled()  # the value read at entry holds
+        assert not verify.enabled()
+
+    def test_none_keeps_enclosing_force(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        with verify.verification(False), verify.verification(None):
+            assert not verify.enabled()
+
+    def test_one_run_reads_each_knob_once(self, monkeypatch):
+        """A greedy run resolves REPRO_VERIFY and REPRO_TRACE at entry,
+        not once per follower search or span."""
+        watched = ("REPRO_VERIFY", "REPRO_TRACE")
+        reads = dict.fromkeys(watched, 0)
+
+        class CountingEnviron(dict):
+            def get(self, key, default=None):
+                if key in reads:
+                    reads[key] += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                if key in reads:
+                    reads[key] += 1
+                return super().__getitem__(key)
+
+        environ = CountingEnviron(os.environ)
+        for key in watched:
+            environ.pop(key, None)
+        monkeypatch.setattr(os, "environ", environ)
+        g = small_random_graph(6, n=60, m=150)
+        result = gac(g, 4, tie_break="id")
+        assert len(result.anchors) == 4
+        assert reads == {"REPRO_VERIFY": 1, "REPRO_TRACE": 1}
 
     def test_suspended_beats_forcing(self):
         with verify.verification(True):
