@@ -186,8 +186,8 @@ def greedy_anchored_coreness(
             The pool falls back to the serial scan when it cannot help
             (tiny graphs, verification on, no CSR view, spawn failure),
             recording a ``gac.parallel_fallback.*`` gauge.
-        kernel: follower-search backend (``dict`` / ``flat`` /
-            ``numpy``, see :mod:`repro.anchors.kernels`); ``None``
+        kernel: follower-search backend (``dict`` / ``flat``, see
+            :mod:`repro.anchors.kernels`); ``None``
             defers to ``REPRO_KERNEL`` and then the default. Resolved
             once per run — the whole run, parent and workers, uses one
             concrete backend. Like ``workers`` this is a wall-clock

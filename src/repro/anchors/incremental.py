@@ -94,7 +94,7 @@ def apply_anchor(
         with _obs.span("incremental.adjacency_refresh", dirty=len(dirty)):
             _refresh_adjacency(state, dirty)
         # Keep the flat kernel tables (if this state has been explored by
-        # a flat-family follower backend) in sync with the same increment.
+        # the flat follower backend) in sync with the same increment.
         if state.kernel_tables is not None:
             with _obs.span("incremental.table_refresh", dirty=len(dirty)):
                 state.kernel_tables.apply_update(state, dirty)

@@ -1,9 +1,8 @@
 """Interchangeable follower-search kernels (the Algorithm 4/5 inner loop).
 
-The follower search is the hot path of every greedy anchor scan — the
-committed livejournal baseline spends ~45% of its serial GAC run inside
-``followers.search`` — so the per-node exploration is factored into
-swappable *backends* behind one tiny interface:
+The follower search is the hot path of every greedy anchor scan, so the
+per-node exploration is factored behind one tiny interface with two
+backends:
 
 ``dict``
     The original dict-of-sets implementation, kept verbatim as the
@@ -14,33 +13,30 @@ swappable *backends* behind one tiny interface:
     (:mod:`repro.anchors.kernels.flat_backend`): dense per-id tables,
     an int-packed ``(shell, layer, id)`` heap key, generation-stamped
     scratch arrays. The default whenever a CSR view exists.
-``numpy``
-    Optional vectorized escape hatch
-    (:mod:`repro.anchors.kernels.numpy_backend`): the per-pop degree
-    bound and push-candidate filtering run as numpy array operations
-    over the flat tables. Falls back to ``flat`` when numpy is not
-    installed.
 
-Every backend is *byte-identical* to the dict oracle — follower sets,
-Figure-13 counters, heap pop counts, anchor sequences — enforced by the
-differential harness in ``tests/test_properties.py`` and the backend
-matrix in ``tests/test_kernels.py``; the backends change wall-clock
-only, exactly like ``REPRO_CSR`` for the substrate kernels.
+Both backends are *byte-identical* — follower sets, Figure-13 counters,
+heap pop counts, anchor sequences — enforced by the differential
+harness in ``tests/test_properties.py`` and the backend matrix in
+``tests/test_kernels.py``; the backends change wall-clock only, exactly
+like ``REPRO_CSR`` for the substrate kernels.
 
 Selection precedence (``docs/kernels.md``): an explicit ``kernel=``
 kwarg (or ``--kernel`` CLI flag, which feeds it) beats the
-``REPRO_KERNEL`` environment variable, which beats the default.
-Availability fallbacks (``numpy`` missing, no CSR view) resolve the
-*requested* name to the *concrete* backend and are gauged so a run that
-silently degraded is diagnosable.
+``REPRO_KERNEL`` environment variable, which beats the default. A
+graph with no CSR view resolves the *requested* ``flat`` to the
+*concrete* ``dict``, and the fallback is gauged so a run that silently
+degraded is diagnosable.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro import obs as _obs
+from repro.anchors.kernels.dict_backend import DictExplorer
+from repro.anchors.kernels.flat_backend import flat_explorer
+from repro.errors import KernelError
 from repro.graphs.csr import csr_view
 
 if TYPE_CHECKING:
@@ -66,7 +62,7 @@ class FollowerExplorer(Protocol):
         ...
 
 #: The recognized backend names, in documentation order.
-KERNELS = ("dict", "flat", "numpy")
+KERNELS = ("dict", "flat")
 #: Environment knob read when no explicit ``kernel=`` is given.
 ENV_KERNEL = "REPRO_KERNEL"
 #: Requested when neither kwarg nor environment chooses: the flat CSR
@@ -81,71 +77,35 @@ def requested_kernel(kernel: "str | None" = None) -> str:
     arrives here as a kwarg) > ``REPRO_KERNEL`` > :data:`DEFAULT_KERNEL`.
 
     Raises:
-        ValueError: for a name outside :data:`KERNELS` — a typo'd
+        KernelError: for a name outside :data:`KERNELS` — a typo'd
             environment variable must fail loudly, not silently run the
             default backend.
     """
     if kernel is None:
         kernel = os.environ.get(ENV_KERNEL, "").strip() or DEFAULT_KERNEL
     if kernel not in KERNELS:
-        raise ValueError(
+        raise KernelError(
             f"unknown follower kernel {kernel!r}; expected one of {KERNELS}"
         )
     return kernel
 
 
-def numpy_available() -> bool:
-    """Whether the numpy backend can actually run (the library imports)."""
-    from repro.anchors.kernels import numpy_backend
-
-    return numpy_backend.available()
-
-
 def resolve_kernel(
     kernel: "str | None" = None, graph: "Graph | None" = None
 ) -> str:
-    """The concrete backend a search will run, after fallbacks.
+    """The concrete backend a search will run, after the fallback.
 
-    ``numpy`` degrades to ``flat`` when the library is missing; ``flat``
-    (and therefore ``numpy``) degrades to ``dict`` when ``graph`` is
-    given but has no CSR view (``REPRO_CSR=0`` or unorderable labels).
-    Each degradation records a ``kernels.fallback.*`` gauge. Callers
-    that resolve once per run (GAC, OLAK) pass the graph so the whole
-    run — parent and workers — agrees on one concrete name.
+    ``flat`` degrades to ``dict`` when ``graph`` is given but has no CSR
+    view (``REPRO_CSR=0`` or unorderable labels), recording the
+    ``kernels.fallback.no_csr`` gauge. Callers that resolve once per
+    run (GAC, OLAK) pass the graph so the whole run — parent and
+    workers — agrees on one concrete name.
     """
     name = requested_kernel(kernel)
-    if name == "numpy" and not numpy_available():
-        _obs.gauge("kernels.fallback.numpy_unavailable", 1.0)
-        name = "flat"
-    if name != "dict" and graph is not None and csr_view(graph) is None:
+    if name == "flat" and graph is not None and csr_view(graph) is None:
         _obs.gauge("kernels.fallback.no_csr", 1.0)
         name = "dict"
     return name
-
-
-#: Explorer factories by backend name, filled on first use so the
-#: per-candidate dispatch is one dict lookup (the hot path builds one
-#: explorer per evaluated candidate).
-_FACTORIES: dict[str, "Callable[[AnchoredState, Vertex], FollowerExplorer]"] = {}
-
-
-def _factory(name: str) -> "Callable[[AnchoredState, Vertex], FollowerExplorer]":
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        if name == "flat":
-            from repro.anchors.kernels import flat_backend
-
-            factory = flat_backend.flat_explorer
-        elif name == "numpy":
-            from repro.anchors.kernels import numpy_backend
-
-            factory = numpy_backend.NumpyExplorer
-        else:
-            from repro.anchors.kernels import dict_backend
-
-            factory = dict_backend.DictExplorer
-        _FACTORIES[name] = factory  # lint: race-ok idempotent memo — every writer stores the same factory object
-    return factory
 
 
 def make_explorer(
@@ -154,16 +114,14 @@ def make_explorer(
     """A per-candidate explorer: ``explore_nodes(todo) -> [(nid, set, pops)]``.
 
     ``name`` must be concrete (pass it through :func:`resolve_kernel`
-    first); as a final guard, flat-family backends still degrade to
-    ``dict`` here when the state's graph has no CSR view, so a caller
-    that resolved without a graph can never crash on a dict-only one.
-    (Cached tables on the state prove a view exists — the common case
-    skips the lookup.)
+    first); as a final guard, ``flat`` still degrades to ``dict`` here
+    when the state's graph has no CSR view, so a caller that resolved
+    without a graph can never crash on a dict-only one. (Cached tables
+    on the state prove a view exists — the common case skips the
+    lookup.)
     """
-    if (
-        name != "dict"
-        and state.kernel_tables is None
-        and csr_view(state.graph) is None
+    if name == "flat" and (
+        state.kernel_tables is not None or csr_view(state.graph) is not None
     ):
-        name = "dict"
-    return _factory(name)(state, x)
+        return flat_explorer(state, x)
+    return DictExplorer(state, x)

@@ -66,9 +66,7 @@ class FlatTables:
         shift / shift2 / idmask: the packed heap-key geometry.
         gen / packed: generation-packed scratch; ``packed[i] < (gen << 2)``
             means untouched by the current exploration (UNEXPLORED).
-        status / dplus: per-id scratch — the byte statuses are the numpy
-            backend's (it keeps its own generation stamps), the bound
-            values are shared.
+        dplus: per-id scratch for the Theorem 4.15 bound values.
         support: per-id neighbor rows pre-filtered to ``core >= core(owner)``
             — the neighbors that would pass the oracle's
             ``c(x) <= c(u)`` support test if the owner were the
@@ -115,7 +113,6 @@ class FlatTables:
         "idmask",
         "gen",
         "packed",
-        "status",
         "dplus",
         "support",
         "cgen",
@@ -172,7 +169,6 @@ class FlatTables:
             self._split(i)
         self.gen = 0
         self.packed = [0] * n
-        self.status = bytearray(n)
         self.dplus = [0] * n
         self.cgen = 0
         self.xmark = [0] * n
@@ -219,8 +215,7 @@ class FlatTables:
         tree node id the anchoring moved. Every per-id entry here
         depends only on the owner's own values and its neighbors'
         anchor flag, node id and coreness, so no entry outside
-        ``dirty`` can be stale — except the ``higher`` / ``loweq``
-        splits, which are widened below.
+        ``dirty`` can be stale.
         """
         index = self.index
         coreness = state.decomposition.coreness
@@ -243,8 +238,6 @@ class FlatTables:
         support = self.support
         w1 = self.shift
         w2 = self.shift2
-        redo: set[int] = set()
-        moved: list[int] = []
         ids: list[int] = []
         for u in dirty:  # lint: order-ok per-id updates are independent
             i = index[u]
@@ -256,7 +249,6 @@ class FlatTables:
                 keys[i] = key
                 shell[i] = pair[0]
                 layer[i] = pair[1]
-                moved.append(i)
             is_anchor[i] = 1 if u in anchors else 0
             fixed[i] = fixed_support.get(u, 0)
             same[i] = tuple(index[v] for v in same_shell.get(u, ()))
@@ -267,24 +259,14 @@ class FlatTables:
             sn_ids[i] = tuple(
                 sorted(adjacency_sn[u], key=index.__getitem__)
             )
-            redo.add(i)
-        # The support rows filter each neighbor by core relative to the
-        # row owner, so they depend on core values possibly updated
-        # later in the loop above — rebuild them in a second pass. A
-        # core change of either endpoint lands both endpoints in
-        # ``dirty`` (the moved vertex and its neighbors), so refreshing
+        # The support rows and the higher/loweq splits classify each
+        # neighbor by *its* core or layer, values possibly updated later
+        # in the loop above — rebuild them in a second pass. A vertex
+        # whose core or shell-layer pair moved is in ``changed``, so
+        # every neighbor whose row it stales is in ``dirty``: refreshing
         # the dirty rows covers every stale entry.
         for i in ids:  # lint: order-ok per-id rebuilds are independent
             support[i] = tuple(j for j in rows[i] if core[j] >= core[i])
-        # The higher/loweq splits classify each row entry by *its* layer,
-        # so a vertex whose (shell, layer) pair moved also stales the
-        # splits of its same-shell neighbors. Under the ``dirty``
-        # contract they are refreshed already (they neighbor a changed
-        # vertex); widening here keeps the splits right whenever the
-        # moved vertices themselves are in ``dirty``.
-        for i in moved:
-            redo.update(same[i])
-        for i in redo:  # lint: order-ok per-id splits are independent
             self._split(i)
         self.anchors = anchors
         self.decomposition = state.decomposition

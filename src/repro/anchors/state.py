@@ -78,8 +78,8 @@ class AnchoredState:
             rebuilt = TreeAdjacency(graph, decomposition, tree, anchors=anchors)
             self.fixed_support = rebuilt.fixed_support
             self.same_shell = rebuilt.same_shell
-        # Flat per-id mirrors for the follower kernels, built lazily on
-        # first flat/numpy exploration and kept current by
+        # Flat per-id mirrors for the flat follower kernel, built lazily on
+        # first flat exploration and kept current by
         # ``apply_anchor`` (see repro.anchors.kernels.flat_backend).
         self.kernel_tables: FlatTables | None = None
         # Section 4.5 upper bounds, built on the first

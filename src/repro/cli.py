@@ -22,7 +22,8 @@ Graphs come from either ``--dataset <name>`` (a built-in replica) or
 (``--trace-out PATH`` additionally writes the Chrome trace artifact).
 
 Bad input — an unreadable or malformed edge list, an unknown dataset,
-an out-of-range budget, a mismatched checkpoint — prints a one-line
+an out-of-range budget, a mismatched checkpoint, an unknown
+follower kernel in ``REPRO_KERNEL`` — prints a one-line
 ``error: ...`` on stderr and exits 2, like ``repro.bench`` and
 ``repro.obs``.
 """

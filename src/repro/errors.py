@@ -68,6 +68,10 @@ class ParseError(ReproError, ValueError):
     """Raised when an edge-list file cannot be parsed."""
 
 
+class KernelError(ReproError, ValueError):
+    """Raised when a follower-kernel name is not a known backend."""
+
+
 class CheckpointError(ReproError):
     """Raised when a checkpoint file cannot be read, or does not match the run.
 

@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--program",
         action="store_true",
-        help="also run the whole-program passes (L1-L5) over the source roots",
+        help="also run the whole-program passes (L1-L4) over the source roots",
     )
     parser.add_argument(
         "--passes",

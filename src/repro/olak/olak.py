@@ -91,8 +91,8 @@ def olak(
             (``False``) for this run; ``None`` defers to ``REPRO_VERIFY``.
         obs: force span tracing on (``True``) or off (``False``) for
             this run; ``None`` defers to ``REPRO_TRACE``.
-        kernel: follower-search backend (``dict`` / ``flat`` /
-            ``numpy``, see :mod:`repro.anchors.kernels`); ``None``
+        kernel: follower-search backend (``dict`` / ``flat``, see
+            :mod:`repro.anchors.kernels`); ``None``
             defers to ``REPRO_KERNEL``. A wall-clock knob only —
             results are byte-identical across backends.
         faults: a :class:`repro.faults.FaultPlan` (or spec string) armed

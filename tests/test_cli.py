@@ -112,6 +112,17 @@ class TestBadInput:
         assert main(["anchor", "--dataset", "nosuch"]) == 2
         self._assert_one_line_error(capsys, "nosuch")
 
+    @pytest.mark.parametrize("name", ["numpy", "cuda"])
+    def test_unknown_kernel_env(self, edge_file, monkeypatch, capsys, name):
+        monkeypatch.setenv("REPRO_KERNEL", name)
+        assert main(["anchor", "--edges", edge_file, "-b", "1"]) == 2
+        self._assert_one_line_error(capsys, "unknown follower kernel")
+
+    def test_unknown_kernel_flag(self, edge_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["anchor", "--edges", edge_file, "-b", "1", "--kernel", "numpy"])
+        assert exc.value.code == 2
+
 
 class TestCascade:
     def test_cascade(self, edge_file, capsys):

@@ -1,8 +1,7 @@
 """Tests for the interchangeable follower-search kernels.
 
 Backend selection precedence and loud failure on typos, the
-availability fallbacks (numpy missing, no CSR view) with their
-diagnosability gauges, byte-identity of GAC and OLAK across the full
+no-CSR-view fallback with its diagnosability gauge, byte-identity of GAC and OLAK across the full
 ``kernel x workers`` matrix, counter parity through
 ``FollowerCounters.from_window``, and correctness of the incremental
 flat-table maintenance (``apply_update``) against a fresh build. See
@@ -25,11 +24,6 @@ from repro.datasets import registry
 from repro.olak.olak import olak
 
 from conftest import hub_graph_and_anchors
-
-#: Every backend the current environment can actually run.
-AVAILABLE_KERNELS = ("dict", "flat") + (
-    ("numpy",) if kernels.numpy_available() else ()
-)
 
 FAST = settings(max_examples=25, deadline=None)
 
@@ -57,28 +51,21 @@ class TestSelection:
 
     @pytest.mark.parametrize("source", ["kwarg", "env"])
     def test_unknown_name_fails_loudly(self, monkeypatch, source):
-        if source == "env":
-            monkeypatch.setenv(kernels.ENV_KERNEL, "cuda")
-            with pytest.raises(ValueError, match="cuda"):
-                kernels.requested_kernel()
-        else:
-            with pytest.raises(ValueError, match="cuda"):
-                kernels.requested_kernel("cuda")
+        for name in ("cuda", "numpy"):
+            if source == "env":
+                monkeypatch.setenv(kernels.ENV_KERNEL, name)
+                with pytest.raises(ValueError, match=name):
+                    kernels.requested_kernel()
+            else:
+                with pytest.raises(ValueError, match=name):
+                    kernels.requested_kernel(name)
 
 
 # ----------------------------------------------------------------------
-# Availability fallbacks, gauged so a degraded run is diagnosable
+# The no-CSR fallback, gauged so a degraded run is diagnosable
 
 
 class TestFallbacks:
-    def test_numpy_falls_back_to_flat_when_unavailable(self, monkeypatch):
-        from repro.anchors.kernels import numpy_backend
-
-        monkeypatch.setattr(numpy_backend, "_np", None)
-        name = kernels.resolve_kernel("numpy")
-        assert name == "flat"
-        assert obs.gauges_snapshot()["kernels.fallback.numpy_unavailable"] == 1
-
     def test_flat_falls_back_to_dict_without_csr(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSR", "0")
         graph = registry.load("arxiv")
@@ -117,7 +104,7 @@ class TestMatrixIdentity:
     def test_gac_identical_across_kernels_and_workers(self):
         graph = registry.load("arxiv")
         reference = _gac_observables(gac(graph, 3, kernel="dict", workers=0))
-        for kernel in AVAILABLE_KERNELS:
+        for kernel in kernels.KERNELS:
             for workers in (0, 2, 4):
                 if kernel == "dict" and workers == 0:
                     continue
@@ -129,7 +116,7 @@ class TestMatrixIdentity:
     def test_olak_identical_across_kernels(self):
         graph = registry.load("arxiv")
         reference = None
-        for kernel in AVAILABLE_KERNELS:
+        for kernel in kernels.KERNELS:
             result = olak(graph, 3, 3, kernel=kernel)
             observed = (
                 result.anchors,
@@ -156,7 +143,7 @@ def test_counters_from_window_parity_across_backends_arxiv_b5():
     """
     graph = registry.load("arxiv")
     reference = None
-    for kernel in AVAILABLE_KERNELS:
+    for kernel in kernels.KERNELS:
         window = obs.window()
         result = gac(graph, 5, kernel=kernel, workers=0)
         observed = (
