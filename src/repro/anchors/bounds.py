@@ -11,12 +11,15 @@ for every non-anchor vertex in one O(m) pass
 their shell-layer pairs — a topological order of the upstair-edge DAG —
 so the own-node bound of every vertex is ready before anyone sums over
 it. From then on :func:`repro.anchors.incremental.apply_anchor` keeps
-them current with :func:`refresh_upper_bounds`, which recomputes only
-what the anchoring changed: the own-node bounds (Eq 1) of the refreshed
-rows and of whatever their changes propagate to down the upstair DAG,
-then the per-node parts and totals (Eqs 2-3) of those rows and of the
-neighbors of every vertex whose own-node bound moved. The from-scratch
-build stays as the oracle (:func:`repro.verify.invariants.verify_upper_bounds`).
+them current with :func:`refresh_upper_bounds`, fed by the same edge
+delta as the adjacency rows: full rows for the changed vertices, one
+patched entry per changed edge elsewhere. The own-node bounds (Eq 1)
+are recomputed from the changed vertices and the rows whose
+higher-layer same-shell set moved, and from whatever their changes
+propagate to down the upstair DAG; the per-node parts (Eq 2) only for
+the node entries a changed edge or a moved own-node bound touched,
+and then the totals (Eq 3) of those rows. The from-scratch build stays
+as the oracle (:func:`repro.verify.invariants.verify_upper_bounds`).
 
 The GAC algorithm scans candidates in decreasing bound order and skips
 any candidate whose bound cannot beat the best gain found so far; after
@@ -30,7 +33,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro import obs as _obs
-from repro.anchors.state import AnchoredState
+from repro.anchors.state import AnchoredState, Changes, Edges
 from repro.core.tree import NodeId
 from repro.graphs.graph import Vertex
 from repro.lint.markers import pure
@@ -93,46 +96,83 @@ def build_upper_bounds(state: AnchoredState) -> UpperBounds:
 
 @pure
 def refresh_upper_bounds(  # lint: obs-ok timed by apply_anchor's bounds_refresh span
-    state: AnchoredState, bounds: UpperBounds, dirty: set[Vertex]
+    state: AnchoredState, bounds: UpperBounds, changed: Changes, edges: Edges
 ) -> None:
     """Bring ``state``'s kept ``bounds`` up to date after an anchoring.
 
-    ``dirty`` must hold every vertex whose pair, node id, anchor flag or
-    adjacency rows the anchoring changed, plus their neighbors (the set
-    ``apply_anchor`` refreshes). Eq 1 of a vertex reads its neighbors'
-    pairs and anchor flags and the own-node bounds of its same-shell,
-    higher-layer neighbors, so it is recomputed for ``dirty`` in
-    descending ``(k, i)`` order; a vertex whose value moved queues its
-    same-shell, lower-layer neighbors. Eqs 2-3 of a vertex read its
-    node id, its ``sn``/``tca`` rows and its neighbors' own-node bounds,
-    so they are recomputed for ``dirty``, the vertices whose own-node
-    bound moved and the neighbors of those.
+    ``changed`` maps every vertex whose pair, node id or anchor flag the
+    anchoring moved to its old values, and ``edges`` lists the edges
+    from those vertices to the rest (the delta ``apply_anchor`` hands
+    every derived structure).
+
+    Eq 1 of a vertex reads its pair and the own-node bounds of its
+    same-shell, higher-layer neighbors. It is recomputed in descending
+    ``(k, i)`` order for the changed vertices and for each row whose
+    set of such neighbors a changed edge moved; a vertex whose value
+    moved queues its same-shell, lower-layer neighbors.
+
+    Eqs 2-3 are recomputed in full for the changed vertices. Any other
+    row ``v`` is patched by deltas: its entry for a node other than its
+    own sums ``1 + own[w]`` over its neighbors ``w`` in that node, and
+    those are exactly its non-anchor neighbors of higher coreness (an
+    equal-coreness neighbor shares ``v``'s node). So a changed edge
+    moves one term, a moved own-node bound moves its owner's own entry
+    and one term in each lower-coreness neighbor's row, and each total
+    moves with its entries.
+
+    Every non-anchor in or next to ``changed`` or next to a moved
+    own-node bound is recorded as refreshed.
     """
     graph = state.graph
     anchors = state.anchors
     pairs = state.decomposition.shell_layer
     own = bounds.own
-    for v in dirty & anchors:  # lint: order-ok independent dict deletions
-        own.pop(v, None)
-        bounds.parts.pop(v, None)
-        bounds.total.pop(v, None)
+    parts = bounds.parts
+    total = bounds.total
+    refreshed = bounds.refreshed
+    full: list[Vertex] = []
+    now: Changes = {}
+    was_own: dict[Vertex, int] = {}
+    for u, prior in changed.items():
+        now[u] = state.snapshot(u)
+        if not prior[0]:
+            was_own[u] = own[u]
+        if u in anchors:
+            own.pop(u, None)
+            parts.pop(u, None)
+            total.pop(u, None)
+        else:
+            full.append(u)
 
+    # Seeds besides the changed rows: each row that gained or lost a
+    # same-shell, higher-layer neighbor.
+    queued = set(full)
+    rows: Edges = []
+    for u, v in edges:
+        if v in anchors:
+            continue
+        rows.append((u, v))
+        kv, iv = pairs[v]
+        was_anchor, old_k, old_i, _ = changed[u]
+        anchored, k, i, _ = now[u]
+        was_up = not was_anchor and old_k == kv and old_i > iv
+        if was_up != (not anchored and k == kv and i > iv):
+            queued.add(v)
     # A pushed vertex always has a smaller pair than the popped one, so
     # every queued vertex pops once, after all its upper neighbors.
-    queued = dirty - anchors
     # Ties are equal pairs, which share no upstair edge: any order works.
     ranked = enumerate(queued)  # lint: order-ok tie order is free
     heap = [(-pairs[v][0], -pairs[v][1], seq, v) for seq, v in ranked]
     heapq.heapify(heap)
     seq = len(heap)
-    own_changed: set[Vertex] = set()
+    own_changed: dict[Vertex, int] = {}  # vertex -> its old own-node bound
     while heap:
         u = heapq.heappop(heap)[3]
         value = _own_bound(state, own, u)
         if own[u] == value:
             continue
+        own_changed[u] = own[u]
         own[u] = value
-        own_changed.add(u)
         ku, iu = pairs[u]
         for v in state.same_shell[u]:
             iv = pairs[v][1]
@@ -141,13 +181,48 @@ def refresh_upper_bounds(  # lint: obs-ok timed by apply_anchor's bounds_refresh
                 heapq.heappush(heap, (-ku, -iv, seq, v))
                 seq += 1
 
-    stale = dirty | own_changed
-    for v in own_changed:  # lint: order-ok set union is commutative
-        stale |= graph.neighbors(v)
-    stale -= anchors
-    for u in stale:  # lint: order-ok per-vertex updates are independent
+    for u in full:
         _fill_parts(state, bounds, u)
-    bounds.refreshed |= stale
+    # Per row, per node, the change of its entry.
+    shift: dict[Vertex, dict[NodeId, int]] = {}
+    for u, v in rows:
+        kv = pairs[v][0]
+        was_anchor, old_k, _, old_nid = changed[u]
+        anchored, k, _, nid = now[u]
+        row = shift.setdefault(v, {})
+        if not was_anchor and old_k > kv:
+            row[old_nid] = row.get(old_nid, 0) - 1 - was_own[u]
+        if not anchored and k > kv:
+            row[nid] = row.get(nid, 0) + 1 + own[u]
+    for w, old in own_changed.items():
+        refreshed.update(graph.neighbors(w))
+        if w in changed:
+            continue  # its terms moved with its edges above
+        d = own[w] - old
+        nid = state.node_id(w)
+        parts[w][nid] = own[w]
+        total[w] += d
+        tca_w = state.tca(w)
+        for lower in state.pn(w):  # lint: order-ok per-row sums are order-free
+            for v in tca_w[lower]:
+                if v not in changed:
+                    row = shift.setdefault(v, {})
+                    row[nid] = row.get(nid, 0) + d
+    for v, row in shift.items():
+        entries = parts[v]
+        moved = 0
+        for nid, d in row.items():
+            if d:
+                value = entries.get(nid, 0) + d
+                if value:
+                    entries[nid] = value
+                else:
+                    del entries[nid]  # the node left v's neighborhood
+                moved += d
+        total[v] += moved
+        refreshed.add(v)
+    refreshed.update(full)
+    refreshed.difference_update(anchors)
 
 
 def _own_bound(state: AnchoredState, own: dict[Vertex, int], u: Vertex) -> int:

@@ -50,7 +50,7 @@ from repro.anchors.reuse import FollowerCache
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
 from repro.core.tree import NodeId
-from repro.errors import BudgetError, CheckpointError
+from repro.errors import BudgetError, CheckpointError, ParameterError
 from repro.faults import arming as _fault_arming  # lint: fault-ok layer-ok greedy arms per-run plans
 from repro.faults import fault_point as _fault_point  # lint: fault-ok layer-ok hosts gac.round_commit
 from repro.graphs.graph import Graph, Vertex
@@ -215,6 +215,7 @@ def greedy_anchored_coreness(
             non-anchor vertices.
         CheckpointError: if ``resume`` names a missing, corrupt, or
             mismatched snapshot.
+        ParameterError: if ``checkpoint_every`` is below 1.
     """
     initial = frozenset(initial_anchors)
     if budget < 0:
@@ -225,7 +226,9 @@ def greedy_anchored_coreness(
             "anchorable vertices"
         )
     if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        raise ParameterError(
+            f"checkpoint_every must be >= 1, got {checkpoint_every}"
+        )
     if follower_method == "naive":
         reuse = False
         use_upper_bounds = False

@@ -15,13 +15,18 @@ Locality rests on two facts:
 * anchors live in no tree node (see ``CoreComponentTree.build``), so an
   anchoring never forces tree surgery outside the rebuilt subtree.
 
-After the splice, only the derived rows of ``changed ∪ N(changed)``
-are refreshed — ``changed`` being ``x``, the re-peeled vertices whose
-shell-layer pair or node id moved, and the boundary anchors whose
-effective coreness moved — because a vertex's rows depend only on its
-own coreness and its neighbors' anchor flag, node id and coreness. The
-Section 4.5 upper bounds, when the state has them, are refreshed from
-the same set (see :func:`repro.anchors.bounds.refresh_upper_bounds`).
+After the splice the derived rows are kept current by edge deltas.
+``changed`` is ``x``, the re-peeled vertices whose shell-layer pair or
+node id moved, and the boundary anchors whose effective coreness moved.
+A vertex's rows depend only on its own values and its neighbors'
+anchor flag, node id, coreness and layer, so the rows of ``changed`` are
+rebuilt in full, and every other row gets one patched entry per
+changed edge: the entry for its changed neighbor. That costs
+O(Σ deg(changed)) per anchoring. The same delta — each changed
+vertex's old values and the changed edges — patches the flat kernel
+tables (:meth:`~repro.anchors.kernels.flat_backend.FlatTables.apply_update`)
+and, when the state has them, the Section 4.5 upper bounds
+(:func:`repro.anchors.bounds.refresh_upper_bounds`).
 
 `apply_anchor` mutates the state. Its correctness oracle — structural
 equality with a fresh ``AnchoredState.build`` — runs in the test suite
@@ -33,9 +38,11 @@ cache invalidation.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from repro import obs as _obs
 from repro.anchors.bounds import refresh_upper_bounds
-from repro.anchors.state import AnchoredState
+from repro.anchors.state import AnchoredState, Changes, Edges
 from repro.core.decomposition import CoreDecomposition, peel_decomposition
 from repro.core.tree import (
     CoreComponentTree,
@@ -86,22 +93,27 @@ def apply_anchor(
 
         # ---- Refresh the derived rows the anchoring actually changed. A
         # vertex's row depends only on its own coreness and on its
-        # neighbors' anchor flag, node id and coreness, so the rows of
-        # ``changed`` and of their neighbors are the only stale ones.
-        dirty = set(changed)
-        for v in changed:  # lint: order-ok set union is commutative
-            dirty |= graph.neighbors(v)
-        with _obs.span("incremental.adjacency_refresh", dirty=len(dirty)):
-            _refresh_adjacency(state, dirty)
+        # neighbors' anchor flag, node id and coreness: the rows of
+        # ``changed`` are stale in full, any other row only in its
+        # entries for changed neighbors — one per edge listed here.
+        edges: Edges = [  # lint: order-ok every consumer patches order-free
+            (u, v)
+            for u in changed
+            for v in graph.neighbors(u)
+            if v not in changed
+        ]
+        size = {"changed": len(changed), "edges": len(edges)}
+        with _obs.span("incremental.adjacency_refresh", **size):
+            _refresh_adjacency(state, changed, edges)
         # Keep the flat kernel tables (if this state has been explored by
-        # the flat follower backend) in sync with the same increment.
+        # the flat follower backend) in sync with the same delta.
         if state.kernel_tables is not None:
-            with _obs.span("incremental.table_refresh", dirty=len(dirty)):
-                state.kernel_tables.apply_update(state, dirty)
+            with _obs.span("incremental.table_refresh", **size):
+                state.kernel_tables.apply_update(state, changed, edges)
         # Likewise the Section 4.5 upper bounds, once something built them.
         if state.bounds is not None:
-            with _obs.span("incremental.bounds_refresh", dirty=len(dirty)):
-                refresh_upper_bounds(state, state.bounds, dirty)
+            with _obs.span("incremental.bounds_refresh", **size):
+                refresh_upper_bounds(state, state.bounds, changed, edges)
 
         # ---- Lines 12-16: invalidation from the new structures.
         if compute_removals:
@@ -116,12 +128,13 @@ def _repeel_and_splice(
     old_node: TreeNode,
     component: set[Vertex],
     old_ids: dict[Vertex, NodeId],
-) -> set[Vertex]:
+) -> Changes:
     """Re-peel ``CC(T[x])`` with ``x`` anchored and splice its subtree.
 
-    Returns the vertices the anchoring changed: ``x``, every component
-    vertex whose shell-layer pair or tree node id moved, and every
-    boundary anchor whose effective coreness moved.
+    Returns the vertices the anchoring changed, each with its values
+    from before the anchoring: ``x``, every component vertex whose
+    shell-layer pair or tree node id moved, and every boundary anchor
+    whose effective coreness moved.
     """
     graph = state.graph
     tree = state.tree
@@ -147,13 +160,14 @@ def _repeel_and_splice(
     local = peel_decomposition(sub, closure | {x})
     coreness = state.decomposition.coreness
     shell_layer = state.decomposition.shell_layer
-    changed = {x}
+    changed: Changes = {x: (False, coreness[x], shell_layer[x][1], old_ids[x])}
     for v in component:  # lint: order-ok per-vertex writes are independent
         if v == x:
             continue
         pair = local.shell_layer[v]
-        if pair != shell_layer[v]:
-            changed.add(v)
+        old = shell_layer[v]
+        if pair != old:
+            changed[v] = (False, old[0], old[1], old_ids[v])
             coreness[v] = local.coreness[v]
             shell_layer[v] = pair
     # Anchor effective corenesses are defined over *global* non-anchor
@@ -168,8 +182,8 @@ def _repeel_and_splice(
             ),
             default=0,
         )
-        if coreness[a] != eff:
-            changed.add(a)
+        if coreness[a] != eff and a not in changed:
+            changed[a] = (True, coreness[a], 0, None)
         coreness[a] = eff
         shell_layer[a] = (eff, 0)
     state.decomposition = CoreDecomposition(
@@ -203,8 +217,8 @@ def _repeel_and_splice(
         tree.nodes[nid] = node
     for v, node in subtree.node_of.items():
         tree.node_of[v] = node
-        if node.node_id != old_ids[v]:
-            changed.add(v)
+        if node.node_id != old_ids[v] and v not in changed:
+            changed[v] = (False, coreness[v], shell_layer[v][1], old_ids[v])
     return changed
 
 
@@ -261,8 +275,75 @@ def _all_subtree_nodes(root) -> list:
     return nodes
 
 
-def _refresh_adjacency(state: AnchoredState, dirty: set[Vertex]) -> None:
-    """Recompute tca/sn/pn and the support tables for ``dirty``.
+def _refresh_adjacency(state: AnchoredState, changed: Changes, edges: Edges) -> None:
+    """Bring tca/sn/pn and the support tables up to date after an anchoring.
+
+    The rows of ``changed`` are rebuilt in full. Every other stale row
+    gets its entry for one changed neighbor patched per edge of
+    ``edges``: first each old entry is dropped, then each new one is
+    added. Dropping all first keeps ``sn``/``pn`` exact: a node id whose
+    bucket survives the drops still holds an unchanged vertex, so its
+    coreness (and its class relative to the row owner) did not move.
+    """
+    _rebuild_rows(state, changed)
+    anchors = state.anchors
+    coreness = state.decomposition.coreness
+    node_of = state.tree.node_of
+    adjacency = state.adjacency
+    tca = adjacency.tca
+    sn = adjacency.sn
+    pn = adjacency.pn
+    fixed_support = state.fixed_support
+    same_shell = state.same_shell
+    # A row's entry for a neighbor is its anchor flag, or its coreness
+    # and node id. An anchor stays one and a vertex whose layer alone
+    # moved keeps its entries, so only these vertices' entries move.
+    moved: set[Vertex] = set()
+    for u, (was_anchor, cu, _, nid) in changed.items():
+        _, now_cu, _, now_nid = state.snapshot(u)
+        if not was_anchor and (cu, nid) != (now_cu, now_nid):
+            moved.add(u)
+    edges = [e for e in edges if e[0] in moved]
+    for u, v in edges:
+        _, cu, _, nid = changed[u]
+        tca_v = tca[v]
+        bucket = tca_v[nid]
+        bucket.discard(u)
+        if not bucket:
+            del tca_v[nid]
+            sn[v].discard(nid)
+            pn[v].discard(nid)
+        cv = coreness[v]
+        if cu > cv:
+            fixed_support[v] -= 1
+        elif cu == cv:
+            same_shell[v].remove(u)
+    for u, v in edges:
+        if u in anchors:
+            fixed_support[v] += 1
+            continue
+        nid = node_of[u].node_id
+        tca_v = tca[v]
+        found = tca_v.get(nid)
+        if found is None:
+            tca_v[nid] = {u}
+        else:
+            found.add(u)
+        cu = coreness[u]
+        cv = coreness[v]
+        if cu >= cv:
+            sn[v].add(nid)
+        else:
+            pn[v].add(nid)
+        if cu > cv:
+            fixed_support[v] += 1
+        elif cu == cv:
+            # Canonical order, as a fresh TreeAdjacency build lists it.
+            insort(same_shell[v], u, key=_sort_key)
+
+
+def _rebuild_rows(state: AnchoredState, changed: Changes) -> None:
+    """Recompute tca/sn/pn and the support tables of ``changed`` in full.
 
     Mirrors the tracked :class:`TreeAdjacency` pass: anchored neighbors
     are bucketed nowhere and counted as fixed support.
@@ -272,7 +353,7 @@ def _refresh_adjacency(state: AnchoredState, dirty: set[Vertex]) -> None:
     coreness = state.decomposition.coreness
     node_of = state.tree.node_of
     adjacency = state.adjacency
-    for u in dirty:  # lint: order-ok per-vertex updates are independent
+    for u in changed:
         cu = coreness[u]
         tca_u: dict[NodeId, set[Vertex]] = {}
         sn_u: set[NodeId] = set()

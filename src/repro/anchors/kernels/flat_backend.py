@@ -22,18 +22,19 @@ entirely on dense integer ids:
 
 The tables are cached on the state (``state.kernel_tables``) and kept
 current by :func:`repro.anchors.incremental.apply_anchor`, which calls
-:meth:`FlatTables.apply_update` with the vertices whose derived rows
-changed — the anchoring's changed vertices plus their neighbors — so a
-round costs work in proportion to what the anchor moved, not to the
-size of its component's neighborhood.
+:meth:`FlatTables.apply_update` with the anchoring's edge delta: full
+rows for the changed vertices, one patched entry per changed edge in
+every other row. A round costs O(Σ deg(changed)), not the size of the
+changed vertices' neighborhood rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from repro.anchors.state import AnchoredState
+from repro.anchors.state import AnchoredState, Changes, Edges
 from repro.graphs.csr import CSRGraph, csr_view, decomposition_arrays
 from repro.graphs.graph import Vertex
 
@@ -207,17 +208,23 @@ class FlatTables:
         self.higher[i] = tuple(hi)
         self.loweq[i] = tuple(lo)
 
-    def apply_update(self, state: AnchoredState, dirty: set[Vertex]) -> None:
-        """Refresh the tables for the vertices whose derived rows changed.
+    def apply_update(
+        self, state: AnchoredState, changed: Changes, edges: Edges
+    ) -> None:
+        """Apply an anchoring's edge delta to the tables.
 
-        ``dirty`` is ``changed ∪ N(changed)``, where ``changed`` holds
-        every vertex whose anchor flag, coreness, shell-layer pair or
-        tree node id the anchoring moved. Every per-id entry here
-        depends only on the owner's own values and its neighbors'
-        anchor flag, node id and coreness, so no entry outside
-        ``dirty`` can be stale.
+        ``changed`` maps every vertex whose anchor flag, coreness,
+        shell-layer pair or tree node id the anchoring moved to its old
+        values; ``edges`` lists each edge from such a vertex ``u`` to an
+        unchanged ``v``. Every per-id entry depends only on the owner's
+        own values and its neighbors' anchor flag, node id, coreness and
+        layer, so the rows of ``changed`` are rebuilt in full and in
+        ``v``'s rows only the entry for ``u`` is patched, by bisect on
+        id (every row is in ascending id order). ``state``'s dict rows
+        must already be current: ``fixed`` and ``sn_ids`` copy them.
         """
         index = self.index
+        labels = self.labels
         coreness = state.decomposition.coreness
         shell_layer = state.decomposition.shell_layer
         anchors = state.anchors
@@ -234,40 +241,93 @@ class FlatTables:
         is_anchor = self.is_anchor
         fixed = self.fixed
         same = self.same
+        higher = self.higher
+        loweq = self.loweq
         rows = self.rows
         support = self.support
         w1 = self.shift
         w2 = self.shift2
         ids: list[int] = []
-        for u in dirty:  # lint: order-ok per-id updates are independent
+        for u in changed:
             i = index[u]
             ids.append(i)
             core[i] = coreness[u]
             pair = shell_layer[u]
-            key = (pair[0] << w2) | (pair[1] << w1) | i
-            if key != keys[i]:
-                keys[i] = key
-                shell[i] = pair[0]
-                layer[i] = pair[1]
+            keys[i] = (pair[0] << w2) | (pair[1] << w1) | i
+            shell[i] = pair[0]
+            layer[i] = pair[1]
             is_anchor[i] = 1 if u in anchors else 0
-            fixed[i] = fixed_support.get(u, 0)
-            same[i] = tuple(index[v] for v in same_shell.get(u, ()))
+        # The full rows classify each neighbor by *its* core or layer, so
+        # they are rebuilt once every changed value above is in place.
+        for i in ids:
+            u = labels[i]
+            fixed[i] = fixed_support[u]
+            same[i] = tuple(index[v] for v in same_shell[u])
             tca_ids[i] = {
                 nid: tuple(sorted(index[v] for v in vs))
                 for nid, vs in adjacency_tca[u].items()
             }
-            sn_ids[i] = tuple(
-                sorted(adjacency_sn[u], key=index.__getitem__)
-            )
-        # The support rows and the higher/loweq splits classify each
-        # neighbor by *its* core or layer, values possibly updated later
-        # in the loop above — rebuild them in a second pass. A vertex
-        # whose core or shell-layer pair moved is in ``changed``, so
-        # every neighbor whose row it stales is in ``dirty``: refreshing
-        # the dirty rows covers every stale entry.
-        for i in ids:  # lint: order-ok per-id rebuilds are independent
+            sn_ids[i] = tuple(sorted(adjacency_sn[u], key=index.__getitem__))
             support[i] = tuple(j for j in rows[i] if core[j] >= core[i])
             self._split(i)
+        # One patched entry per changed edge, touching only the rows
+        # whose entry for ``u`` moved. The old node-id entries all go
+        # first, so a bucket that is created or emptied marks every row
+        # whose node set (and so ``sn_ids``) moved.
+        new_nid = {u: state.snapshot(u)[3] for u in changed}
+        moved: set[int] = set()
+        for u, v in edges:
+            nid = changed[u][3]
+            if nid is None or nid == new_nid[u]:
+                continue
+            j = index[v]
+            seeds = tca_ids[j]
+            bucket = _without(seeds[nid], index[u])
+            if bucket:
+                seeds[nid] = bucket
+            else:
+                del seeds[nid]
+                moved.add(j)
+        for u, v in edges:
+            was_anchor, old_core, old_layer, old_nid = changed[u]
+            i = index[u]
+            j = index[v]
+            fixed[j] = fixed_support[v]
+            ci = core[i]
+            cj = core[j]
+            if (old_core >= cj) != (ci >= cj):
+                sup = support[j]
+                support[j] = _with(sup, i) if ci >= cj else _without(sup, i)
+            # Where u sits in v's same-shell row: None (absent), True
+            # (``higher``) or False (``loweq``).
+            lj = layer[j]
+            was = old_layer > lj if not was_anchor and old_core == cj else None
+            now = layer[i] > lj if not is_anchor[i] and ci == cj else None
+            if was != now:
+                if was is None:
+                    same[j] = _with(same[j], i)
+                else:
+                    split = higher if was else loweq
+                    split[j] = _without(split[j], i)
+                if now is None:
+                    same[j] = _without(same[j], i)
+                else:
+                    split = higher if now else loweq
+                    split[j] = _with(split[j], i)
+            nid = new_nid[u]
+            if nid is None or nid == old_nid:
+                continue
+            seeds = tca_ids[j]
+            found = seeds.get(nid)
+            if found is None:
+                seeds[nid] = (i,)
+                moved.add(j)
+            else:
+                seeds[nid] = _with(found, i)
+        for j in moved:  # lint: order-ok per-row rebuilds are independent
+            sn_ids[j] = tuple(
+                sorted(adjacency_sn[labels[j]], key=index.__getitem__)
+            )
         self.anchors = anchors
         self.decomposition = state.decomposition
 
@@ -301,6 +361,22 @@ class FlatTables:
         for i in self.support[xid]:
             xmark[i] = cg
         return cg
+
+
+def _with(row: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """``row`` (ascending ids) with ``i`` inserted, if it is not there."""
+    k = bisect_left(row, i)
+    if k < len(row) and row[k] == i:
+        return row
+    return row[:k] + (i,) + row[k:]
+
+
+def _without(row: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """``row`` (ascending ids) with ``i`` removed, if it is there."""
+    k = bisect_left(row, i)
+    if k < len(row) and row[k] == i:
+        return row[:k] + row[k + 1 :]
+    return row
 
 
 def tables_for(state: AnchoredState) -> FlatTables:  # lint: obs-ok cache accessor; the search span wraps it

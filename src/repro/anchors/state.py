@@ -10,8 +10,9 @@ compute everything from scratch; they are the correctness oracle. The
 greedy algorithms instead update a state in place with
 :func:`repro.anchors.incremental.apply_anchor`, the paper's local
 subtree rebuild (Algorithm 3 lines 7–10, DESIGN.md §6), which re-peels
-only the anchor's core component and refreshes only the rows the
-anchoring changed, upper bounds included. The result-*reuse* bookkeeping is implemented in
+only the anchor's core component and keeps the derived rows, upper
+bounds included, current by edge deltas (:data:`Changes`,
+:data:`Edges`). The result-*reuse* bookkeeping is implemented in
 :mod:`repro.anchors.reuse`.
 """
 
@@ -27,6 +28,16 @@ from repro.graphs.graph import Graph, Vertex
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle avoidance)
     from repro.anchors.bounds import UpperBounds
     from repro.anchors.kernels.flat_backend import FlatTables
+
+#: What an anchoring changed, as ``apply_anchor`` hands it to the derived
+#: structures. ``Prior`` holds a changed vertex's values from before the
+#: anchoring: ``(anchored, coreness, layer, node id)``, the node id
+#: ``None`` for an anchor. ``Changes`` maps every changed vertex to its
+#: ``Prior``; ``Edges`` lists each edge ``(u, v)`` with ``u`` changed and
+#: ``v`` not, whose one entry for ``u`` in ``v``'s rows is stale.
+Prior = tuple[bool, int, int, "NodeId | None"]
+Changes = dict[Vertex, Prior]
+Edges = list[tuple[Vertex, Vertex]]
 
 
 class AnchoredState:
@@ -126,6 +137,17 @@ class AnchoredState:
     def tca(self, u: Vertex) -> dict[NodeId, set[Vertex]]:
         """``tca[u]``: u's neighbors partitioned by their tree node."""
         return self.adjacency.tca[u]
+
+    def snapshot(self, u: Vertex) -> "Prior":
+        """``u``'s ``(anchored, coreness, layer, node id)`` right now.
+
+        The layout of a :data:`Prior`, so an anchoring's old and new
+        values of a changed vertex compare directly.
+        """
+        core, layer = self.decomposition.shell_layer[u]
+        if u in self.anchors:
+            return (True, core, layer, None)
+        return (False, core, layer, self.tree.node_of[u].node_id)
 
     def node_k(self) -> dict[NodeId, int]:
         """Coreness per tree node id (the reuse cache's validation key)."""

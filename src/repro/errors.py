@@ -72,6 +72,10 @@ class KernelError(ReproError, ValueError):
     """Raised when a follower-kernel name is not a known backend."""
 
 
+class ParameterError(ReproError, ValueError):
+    """Raised when an algorithm parameter, such as ``k``, is out of range."""
+
+
 class CheckpointError(ReproError):
     """Raised when a checkpoint file cannot be read, or does not match the run.
 

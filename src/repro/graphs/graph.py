@@ -222,14 +222,11 @@ class Graph:
     # ------------------------------------------------------------------
     def subgraph(self, vertices: Iterable[Vertex]) -> "Graph":
         """The induced subgraph on ``vertices`` (unknown vertices ignored)."""
-        keep = {u for u in vertices if u in self._adj}
+        adj = self._adj
+        keep = {u for u in vertices if u in adj}
         sub = Graph()
-        for u in keep:
-            sub.add_vertex(u)
-        for u in keep:
-            for v in self._adj[u]:
-                if v in keep and not sub.has_edge(u, v):
-                    sub.add_edge(u, v)
+        sub._adj = {u: adj[u] & keep for u in keep}
+        sub._num_edges = sum(map(len, sub._adj.values())) // 2
         return sub
 
     def relabeled(self) -> tuple["Graph", dict[Vertex, int]]:

@@ -28,7 +28,7 @@ from repro.anchors.followers import find_followers
 from repro.anchors.incremental import apply_anchor
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key, core_decomposition
-from repro.errors import BudgetError, CheckpointError
+from repro.errors import BudgetError, CheckpointError, ParameterError
 from repro.faults import arming as _fault_arming  # lint: fault-ok layer-ok greedy arms per-run plans
 from repro.faults import fault_point as _fault_point  # lint: fault-ok layer-ok hosts olak.round_commit
 from repro.graphs.graph import Graph, Vertex
@@ -109,14 +109,17 @@ def olak(
         BudgetError: when the budget is invalid for the graph.
         CheckpointError: if ``resume`` names a missing, corrupt, or
             mismatched snapshot.
+        ParameterError: if ``k`` or ``checkpoint_every`` is below 1.
     """
     del seed  # deterministic: ties break by smallest vertex id
     if budget < 0 or budget > graph.num_vertices:
         raise BudgetError(f"budget {budget} is invalid for n={graph.num_vertices}")
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise ParameterError(f"k must be positive, got {k}")
     if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        raise ParameterError(
+            f"checkpoint_every must be >= 1, got {checkpoint_every}"
+        )
     with (
         _fault_arming(faults),
         _verification(verify),

@@ -118,6 +118,18 @@ class TestBadInput:
         assert main(["anchor", "--edges", edge_file, "-b", "1"]) == 2
         self._assert_one_line_error(capsys, "unknown follower kernel")
 
+    def test_nonpositive_olak_k(self, edge_file, capsys):
+        argv = ["anchor", "--edges", edge_file, "-b", "1", "--method", "olak"]
+        assert main([*argv, "--k", "-3"]) == 2
+        self._assert_one_line_error(capsys, "k must be positive")
+
+    @pytest.mark.parametrize("method", [[], ["--method", "olak", "--k", "2"]])
+    def test_zero_checkpoint_every(self, edge_file, tmp_path, capsys, method):
+        ckpt = str(tmp_path / "run.ckpt")
+        argv = ["anchor", "--edges", edge_file, "-b", "1", *method]
+        assert main([*argv, "--checkpoint", ckpt, "--checkpoint-every", "0"]) == 2
+        self._assert_one_line_error(capsys, "checkpoint_every")
+
     def test_unknown_kernel_flag(self, edge_file):
         with pytest.raises(SystemExit) as exc:
             main(["anchor", "--edges", edge_file, "-b", "1", "--kernel", "numpy"])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import EdgeNotFoundError, GraphError, VertexNotFoundError
+from repro.graphs.generators import gnm_random_graph
 from repro.graphs.graph import Graph
 
 
@@ -140,6 +141,23 @@ class TestDerived:
     def test_subgraph_ignores_unknown(self, triangle):
         sub = triangle.subgraph([0, 1, 99])
         assert sub.num_vertices == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subgraph_matches_edge_by_edge_build(self, seed):
+        g = gnm_random_graph(60, 240, seed)
+        chosen = [u for u in sorted(g.vertices()) if (u * 7 + seed) % 3] + [-1, 999]
+        expected = Graph()
+        for u in chosen:
+            if u in g:
+                expected.add_vertex(u)
+        for u, v in g.edges():
+            if u in expected and v in expected:
+                expected.add_edge(u, v)
+        sub = g.subgraph(chosen)
+        assert sub == expected
+        assert sub.num_vertices == expected.num_vertices
+        assert sub.num_edges == expected.num_edges
+        assert sorted(map(sorted, sub.edges())) == sorted(map(sorted, expected.edges()))
 
     def test_relabeled(self):
         g = Graph.from_edges([(10, 30), (30, 20)])

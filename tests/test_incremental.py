@@ -7,13 +7,18 @@ returned removals match the pure-functional `result_reuse`.
 """
 
 import pytest
+from hypothesis import given, settings
 
+from repro.anchors.bounds import compute_upper_bounds
+from repro.anchors.followers import find_followers
 from repro.anchors.incremental import apply_anchor
+from repro.anchors.kernels.flat_backend import FlatTables
 from repro.anchors.reuse import result_reuse
 from repro.anchors.state import AnchoredState
 from repro.datasets.toy import figure2_graph
 
-from conftest import small_random_graph
+from conftest import hub_graph_and_anchors, small_random_graph
+from test_kernels import TABLE_FIELDS
 
 
 def assert_states_equal(actual: AnchoredState, expected: AnchoredState) -> None:
@@ -38,7 +43,9 @@ def assert_states_equal(actual: AnchoredState, expected: AnchoredState) -> None:
         assert actual.adjacency.sn[u] == expected.adjacency.sn[u], u
         assert actual.adjacency.pn[u] == expected.adjacency.pn[u], u
         assert actual.fixed_support[u] == expected.fixed_support[u], u
-        assert set(actual.same_shell[u]) == set(expected.same_shell[u]), u
+        # Exact lists: the flat tables copy their order, and the edge
+        # delta inserts into them.
+        assert actual.same_shell[u] == expected.same_shell[u], u
     # the tree must still satisfy its own invariants
     actual.tree.validate(actual.graph, actual.decomposition)
 
@@ -76,6 +83,31 @@ class TestEquivalence:
         apply_anchor(state, 2)
         with pytest.raises(ValueError):
             apply_anchor(state, 2)
+
+
+@given(hub_graph_and_anchors())
+@settings(max_examples=25, deadline=None)
+def test_one_delta_keeps_every_consumer_current(case):
+    """One anchoring's edge delta patches the dict rows, the flat tables
+    and the kept bounds together; after each anchoring all three equal
+    a fresh build."""
+    graph, anchors = case
+    state = AnchoredState.build(graph)
+    find_followers(state, min(graph.vertices()), kernel="flat")
+    tables = state.kernel_tables
+    bounds = compute_upper_bounds(state)
+    for step, x in enumerate(anchors, 1):
+        apply_anchor(state, x)
+        fresh = AnchoredState.build(graph, anchors[:step])
+        assert_states_equal(state, fresh)
+        assert state.kernel_tables is tables
+        scratch = FlatTables(fresh, tables.csr)
+        for field in TABLE_FIELDS:
+            assert getattr(tables, field) == getattr(scratch, field), field
+        assert state.bounds is bounds
+        fresh_bounds = compute_upper_bounds(fresh)
+        for field in ("own", "parts", "total"):
+            assert getattr(bounds, field) == getattr(fresh_bounds, field), field
 
 
 class TestRemovalsMatchResultReuse:
